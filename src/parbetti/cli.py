@@ -1,8 +1,8 @@
 """Command line interface: instance documents, emitters, sweeps.
 
 Exit codes: 0 success, 1 invalid input or usage, 2 refusal on strictly
-semistable input (or an integral gap sum on the rank-2 route), 3 internal
-cross-check failure.
+semistable input (or an integral gap sum on the rank-2 route), 3 a failed
+certificate, or routes that disagree under compare.
 """
 
 from __future__ import annotations
@@ -17,13 +17,13 @@ from fractions import Fraction
 
 from .engine import (
     MethodInapplicable,
-    MismatchAgainstClosed,
     StrictSemistable,
     TruncationTooSmall,
     applicable_methods,
     compare_methods,
     compute,
 )
+from .laurent import TruncationLimit
 from .parabolic import (
     Instance,
     make_data,
@@ -66,6 +66,12 @@ def _require_int(value, where):
     return value
 
 
+def _require_truncation(value, where):
+    if _require_int(value, where) < 0:
+        raise DocumentError(f"{where}: truncation must be >= 0, got {value}")
+    return value
+
+
 _TOP_KEYS = {"genus", "degree", "points", "options"}
 _OPTION_KEYS = {"method", "truncation", "force"}
 _METHOD_TAGS = ("closed", "qclosed", "recursion", "rank2")
@@ -104,7 +110,9 @@ def parse_document(obj):
         parsed_w = [_parse_weight(w, f"{where}.weights[{j}]") for j, w in enumerate(weights)]
         parsed_m = [_require_int(m, f"{where}.multiplicities[{j}]") for j, m in enumerate(mults)]
         specs.append((tuple(parsed_m), tuple(parsed_w)))
-    options = dict(obj.get("options") or {})
+    options = {} if obj.get("options") is None else obj["options"]
+    if not isinstance(options, dict):
+        raise DocumentError("options: expected an object")
     unknown = set(options) - _OPTION_KEYS
     if unknown:
         raise DocumentError(f"options: unknown fields {sorted(unknown)}")
@@ -113,7 +121,7 @@ def parse_document(obj):
         raise DocumentError(f"options.method: unknown method {method!r}")
     truncation = options.get("truncation")
     if truncation is not None:
-        truncation = _require_int(truncation, "options.truncation")
+        truncation = _require_truncation(truncation, "options.truncation")
     force = options.get("force", False)
     if not isinstance(force, bool):
         raise DocumentError("options.force: expected true or false")
@@ -244,7 +252,9 @@ def cmd_compute(args, out=None):
     out = out or sys.stdout
     instance, options = _load_document(args.input)
     method = args.method or options["method"]
-    truncation = args.truncation if args.truncation is not None else options["truncation"]
+    truncation = options["truncation"]
+    if args.truncation is not None:
+        truncation = _require_truncation(args.truncation, "--truncation")
     force = args.force or options["force"]
     start = time.perf_counter()
     res = compute(instance, method, truncation=truncation, force=force)
@@ -452,16 +462,13 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except DocumentError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
-    except MethodInapplicable as exc:
+    except (DocumentError, MethodInapplicable, TruncationLimit) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
     except (StrictSemistable, IntegralPsi) as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return EXIT_REFUSED
-    except (NonPolynomialResult, MismatchAgainstClosed, TruncationTooSmall) as exc:
+    except (NonPolynomialResult, TruncationTooSmall) as exc:
         sys.stderr.write(f"internal check failed: {exc}\n")
         return EXIT_INTERNAL
 

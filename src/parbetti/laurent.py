@@ -23,6 +23,11 @@ class TruncationLimit(ValueError):
     """Requested series truncation exceeds MAX_TRUNCATION."""
 
 
+class TruncationTooSmall(ValueError):
+    """A series is not exact as deep as certified, or the recursion's guard
+    band past twice the dimension was nonzero."""
+
+
 def _coerce(c):
     if isinstance(c, Fraction):
         return c
@@ -271,17 +276,13 @@ class LaurentSeries:
             raise ValueError(f"coefficient of t^{e} beyond truncation {self.trunc}")
         return self.coeffs.get(e, Fraction(0))
 
-    def coeff_list(self, lo=None, hi=None):
-        """Coefficients for exponents lo..hi inclusive as a list."""
-        if lo is None:
-            lo = self.order()
-            if lo is None:
-                return []
-        if hi is None:
-            hi = self.trunc
-        if hi > self.trunc:
-            raise ValueError("range exceeds truncation")
-        return [self.coeffs.get(e, Fraction(0)) for e in range(lo, hi + 1)]
+    def exact_through(self, n):
+        """Certify that this series is exact through t^n; returns it."""
+        if self.trunc < n:
+            raise TruncationTooSmall(
+                f"series exact only through t^{self.trunc}, needed t^{n}"
+            )
+        return self
 
     def truncate(self, n):
         if n >= self.trunc:

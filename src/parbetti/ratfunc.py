@@ -153,8 +153,7 @@ class FactoredRatFunc:
                 series = series.truncate(work)
             else:
                 series = series * geometric_power(k, -e, work)
-        assert series.trunc >= work
-        return series.truncate(work).shift(self.shift)
+        return series.exact_through(work).truncate(work).shift(self.shift)
 
     def to_laurent_poly(self):
         """Exact Laurent polynomial equal to this function.
@@ -233,7 +232,3 @@ def _vanishing_split(poly, x):
         if not work:
             raise AssertionError("nonzero polynomial fully divided by (t - x)")
 
-
-def expand_series(func, trunc):
-    """Module-level convenience wrapper for FactoredRatFunc.expand."""
-    return func.expand(trunc)

@@ -80,6 +80,9 @@ def test_parse_document_defaults():
         (lambda d: d.update(options={"method": "magic"}), "method"),
         (lambda d: d.update(options={"speed": 9}), "unknown"),
         (lambda d: d.update(options={"force": "yes"}), "force"),
+        (lambda d: d.update(options="x"), "object"),
+        (lambda d: d.update(options=[]), "object"),
+        (lambda d: d.update(options={"truncation": -5}), "truncation"),
     ],
 )
 def test_parse_document_rejects(mangle, fragment):
@@ -211,6 +214,26 @@ def test_compute_truncation_too_small(tmp_path, capsys):
     assert main(["compute", path, "--method", "recursion", "--truncation", "4"]) \
         == EXIT_INTERNAL
     capsys.readouterr()
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_compute_truncation_beyond_limit(tmp_path, capsys):
+    path = _doc(tmp_path, CASE_A)
+    argv = ["compute", path, "--method", "recursion", "--truncation", "30000"]
+    assert main(argv) == EXIT_INVALID
+    assert "exceeds" in _one_line_error(capsys)
+
+
+def test_negative_truncation_flag_rejected(tmp_path, capsys):
+    path = _doc(tmp_path, CASE_A)
+    argv = ["compute", path, "--method", "recursion", "--truncation", "-5"]
+    assert main(argv) == EXIT_INVALID
+    assert "--truncation" in _one_line_error(capsys)
 
 
 # -- compare ---------------------------------------------------------------

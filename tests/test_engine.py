@@ -1,10 +1,14 @@
 """Engine routes: agreement, guards, enumeration soundness."""
 
+import dataclasses
+import json
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from parbetti import engine
+from parbetti.cli import EXIT_INTERNAL, main
 from parbetti.engine import (
     MethodInapplicable,
     StrictSemistable,
@@ -19,6 +23,7 @@ from parbetti.engine import (
     recursion_poincare,
     siegel_check,
 )
+from parbetti.laurent import LaurentPoly
 from parbetti.parabolic import Instance, make_data
 from parbetti.result import NonPolynomialResult
 
@@ -159,6 +164,47 @@ def test_compare_methods_agree():
     assert len(set(polys.values())) == 1
 
 
+
+def test_closed_runs_once_per_compare_and_never_in_qclosed(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return poincare_closed(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "poincare_closed", counted)
+    inst = Instance(2, 1, R2)
+    compute(inst, "qclosed")
+    assert len(calls) == 0
+    compare_methods(inst)
+    assert len(calls) == 1
+
+
+def _qclosed_with_b3_bumped(instance, force=False):
+    res = poincare_qclosed(instance, force)
+    betti = list(res.betti)
+    betti[3] += 1
+    poly = res.poly + LaurentPoly({3: 1})
+    return dataclasses.replace(res, poly=poly, betti=tuple(betti))
+
+
+def test_compare_catches_qclosed_disagreement(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(engine, "poincare_qclosed", _qclosed_with_b3_bumped)
+    _, mismatch = compare_methods(Instance(2, 1, R2))
+    assert mismatch == ("closed", "qclosed", 3)
+    doc = {
+        "genus": 2,
+        "degree": 1,
+        "points": [{"weights": ["0", "1/3"], "multiplicities": [1, 1]}],
+    }
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compare", str(path)]) == EXIT_INTERNAL
+    out = capsys.readouterr().out
+    assert "qclosed    dim=4 betti=1,0,2,5,2,4,2,0,1\n" in out
+    assert out.endswith("verdict: DISAGREE closed vs qclosed first at t^3\n")
+
+
 def _brute_tuples(cols, alphas, d, bound, window):
     """Direct condition check over a degree window, for cross-checking."""
     r = len(cols)
@@ -206,3 +252,8 @@ def test_degree_tuple_enumeration_vs_brute():
 def test_degree_tuple_single_block():
     assert hn_degree_tuples((3,), [Fraction(1, 2)], 7, 0) == [((7,), 0)]
     assert hn_degree_tuples((3,), [Fraction(1, 2)], 7, -1) == []
+
+
+def test_degree_tuples_reject_empty_block():
+    with pytest.raises(ValueError, match="block ranks"):
+        hn_degree_tuples((1, 0, 1), [Fraction(0)] * 3, 0, 5)
