@@ -348,7 +348,8 @@ def cmd_sweep(args, out=None):
     ]
     workers = _worker_count()
     if workers >= 2 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool starts all of its workers at once, so size it by the work
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             cells = list(pool.map(_sweep_cell, jobs))
     else:
         cells = [_sweep_cell(job) for job in jobs]

@@ -12,7 +12,8 @@ Three independent routes to the same polynomial:
   truncated Laurent series with certified truncation bookkeeping, never
   citing the closed solution.
 
-``siegel_check`` verifies the underlying mass identity order by order.
+``siegel_check`` verifies the underlying mass identity order by order: it
+runs the recursion's own step on the closed route's stable counts.
 """
 
 from __future__ import annotations
@@ -373,49 +374,32 @@ def recursion_poincare(instance, truncation=None, force=False):
     return result_from_poly(poly, dim, "recursion", ss_ok, enforce=ss_ok)
 
 
+class _ClosedCounts(_Recursor):
+    """The recursion step fed with the closed route's stable counts."""
+
+    def q_series(self, data, d, trunc):
+        cdata = canonical_form(data)
+        key = (cdata, d % cdata.rank)
+        hit = self.memo.get(key)
+        if hit is None or hit.trunc < trunc:
+            hit = q_ratfunc(cdata, key[1], self.genus).expand(trunc)
+            self.memo[key] = hit
+        return hit
+
+
 def siegel_check(data, genus, d, order):
     """Verify the mass identity through the given series order.
 
-    Left side: the full-family count of the datum.  Right side: the sum over
-    block decompositions and slope-decreasing degree tuples of the stable
-    counts of the blocks, all taken from the closed count route.  Returns
-    (True, None) on agreement, otherwise (False, first differing exponent).
+    The full-family count equals the sum over block decompositions and
+    slope-decreasing degree tuples of the stable counts of the blocks; the
+    length-1 term is the stable count itself.  So one step of the recursion,
+    fed with the closed count route's stable counts of the blocks, must
+    return the closed stable count of the datum.  Returns (True, None) on
+    agreement, otherwise (False, first differing exponent).
     """
     data = canonical_form(data)
-    lhs = _block_q(data, genus).expand(order)
-    rhs = LaurentSeries.zero(order)
-    qcache = {}
-
-    def stable_q(block, dblk):
-        key = (canonical_form(block), dblk % block.rank)
-        if key not in qcache:
-            qcache[key] = q_ratfunc(key[0], key[1], genus)
-        return qcache[key]
-
-    for part in partitions(data):
-        blocks = part.blocks()
-        cols = part.cols
-        sigma = inv_count(part)
-        alphas = [weight_sum(b) for b in blocks]
-        shifts = []
-        for k, b in enumerate(blocks):
-            per = []
-            for rho in range(b.rank):
-                f = stable_q(b, rho)
-                per.append(order + 1 if f.is_zero() else f.order_lower_bound())
-            shifts.append(min(per))
-        bound = (order - sum(shifts)) // 2 + sigma
-        for dvec, pairing in hn_degree_tuples(cols, alphas, d, bound):
-            shift = 2 * (pairing - sigma)
-            term = None
-            for k, b in enumerate(blocks):
-                depth = order - shift - (sum(shifts) - shifts[k])
-                s = stable_q(b, dvec[k]).expand(depth)
-                term = s if term is None else term * s
-            if term.order_bound() + shift > order:
-                continue
-            rhs = rhs + term.shift(shift).exact_through(order)
-    diff = lhs.first_difference(rhs, through=order)
+    step = _ClosedCounts(genus)._compute(data, d, order)
+    diff = step.first_difference(q_ratfunc(data, d, genus).expand(order), through=order)
     return (diff is None, diff)
 
 

@@ -5,6 +5,11 @@ sum of c*t^e with integer e (negative allowed).  A LaurentSeries carries its
 coefficients only up to a truncation exponent and tracks how far it is exact,
 so products of truncated series never silently pretend to more precision
 than they have.
+
+Every product and sum of polynomials and series runs through the two
+coefficient-dict kernels ``_product`` and ``_sum``; they are where the
+coefficient type lives, so changing it means changing them (and the
+constructors' ``_coerce``), not each operator.
 """
 
 from __future__ import annotations
@@ -34,6 +39,64 @@ def _coerce(c):
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+
+
+def _product(a, b, top=None):
+    """Sparse product of two coefficient dicts, dropping exponents above top.
+
+    With a top, the larger operand is sorted so that each row stops at the
+    first exponent past it.  Zeros are dropped once, at the end.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return {}
+    if top is None:
+        top = max(a) + max(b)  # no pair goes past it, so the rows need no order
+        row = b.items()
+    else:
+        row = sorted(b.items())
+    d = {}
+    get = d.get
+    for ea, ca in a.items():
+        lim = top - ea
+        for eb, cb in row:
+            if eb > lim:
+                break
+            e = ea + eb
+            d[e] = get(e, 0) + ca * cb
+    return {e: c for e, c in d.items() if c}
+
+
+def _sum(a, b, top=None):
+    """Sum of two coefficient dicts, dropping exponents above top."""
+    d = dict(a) if top is None else {e: c for e, c in a.items() if e <= top}
+    for e, c in b.items():
+        if top is not None and e > top:
+            continue
+        s = d.get(e, 0) + c
+        if s:
+            d[e] = s
+        else:
+            del d[e]  # c is nonzero, so only a stored term cancels it
+    return d
+
+
+def _poly(d):
+    """Wrap a kernel result, whose coefficients are already nonzero Fractions."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    object.__setattr__(out, "coeffs", d)
+    return out
+
+
+def _series(d, trunc):
+    """Wrap a kernel result with no exponent above trunc."""
+    if trunc > MAX_TRUNCATION:
+        raise TruncationLimit(f"truncation {trunc} exceeds {MAX_TRUNCATION}")
+    out = LaurentSeries.__new__(LaurentSeries)
+    object.__setattr__(out, "coeffs", d)
+    object.__setattr__(out, "trunc", trunc)
+    return out
 
 
 class LaurentPoly:
@@ -116,16 +179,7 @@ class LaurentPoly:
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        d = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = d.get(e, Fraction(0)) + c
-            if s:
-                d[e] = s
-            elif e in d:
-                del d[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "coeffs", d)
-        return out
+        return _poly(_sum(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
@@ -133,21 +187,7 @@ class LaurentPoly:
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
-        d = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                s = d.get(e, Fraction(0)) + ca * cb
-                if s:
-                    d[e] = s
-                elif e in d:
-                    del d[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "coeffs", d)
-        return out
+        return _poly(_product(self.coeffs, other.coeffs))
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -305,16 +345,7 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         trunc = min(self.trunc, other.trunc)
-        d = {e: c for e, c in self.coeffs.items() if e <= trunc}
-        for e, c in other.coeffs.items():
-            if e > trunc:
-                continue
-            s = d.get(e, Fraction(0)) + c
-            if s:
-                d[e] = s
-            elif e in d:
-                del d[e]
-        return LaurentSeries(d, trunc)
+        return _series(_sum(self.coeffs, other.coeffs, trunc), trunc)
 
     def __sub__(self, other):
         return self + (-other)
@@ -326,37 +357,14 @@ class LaurentSeries:
         # a zero prefix contributes its certified bound trunc+1
         ma, mb = self.order_bound(), other.order_bound()
         trunc = min(self.trunc + mb, other.trunc + ma)
-        d = {}
-        for ea, ca in self.coeffs.items():
-            for eb, cb in other.coeffs.items():
-                e = ea + eb
-                if e > trunc:
-                    continue
-                s = d.get(e, Fraction(0)) + ca * cb
-                if s:
-                    d[e] = s
-                elif e in d:
-                    del d[e]
-        return LaurentSeries(d, trunc)
+        return _series(_product(self.coeffs, other.coeffs, trunc), trunc)
 
     def mul_poly(self, poly):
         """Multiply by an exact polynomial; trunc shifts by its min exponent."""
         if poly.is_zero():
             return LaurentSeries.zero(self.trunc)
-        m = poly.min_exp()
-        trunc = self.trunc + m
-        d = {}
-        for ea, ca in self.coeffs.items():
-            for eb, cb in poly.coeffs.items():
-                e = ea + eb
-                if e > trunc:
-                    continue
-                s = d.get(e, Fraction(0)) + ca * cb
-                if s:
-                    d[e] = s
-                elif e in d:
-                    del d[e]
-        return LaurentSeries(d, trunc)
+        trunc = self.trunc + poly.min_exp()
+        return _series(_product(self.coeffs, poly.coeffs, trunc), trunc)
 
     def inverse(self):
         """Multiplicative inverse; needs a known leading coefficient.

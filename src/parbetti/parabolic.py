@@ -423,19 +423,18 @@ def floor_sum(part, lam):
 
 
 def floor_sum_genus(part, lam, genus):
-    """floor_sum with each floor bumped by one plus the genus pairing term."""
+    """floor_sum with each floor bumped by one plus the genus pairing term.
+
+    The bumps add sum_k (c_k + c_{k+1}) over adjacent blocks, which is
+    2n - c_0 - c_r.
+    """
     cols = part.cols
-    total = 0
-    nk = 0
-    for k in range(part.length - 1):
-        nk += cols[k]
-        a = weight_sum(part.prefix_data(k + 1))
-        total += (cols[k] + cols[k + 1]) * (floor(Fraction(nk) * lam - a) + 1)
+    bumps = 2 * part.data.rank - cols[0] - cols[-1]
     pair = 0
     for i in range(part.length):
         for j in range(i + 1, part.length):
             pair += cols[i] * cols[j]
-    return total + (genus - 1) * pair
+    return floor_sum(part, lam) + bumps + (genus - 1) * pair
 
 
 def degree_at_slope(sub, lam):

@@ -169,12 +169,6 @@ class FactoredRatFunc:
                 p = divide_exact(p, one_minus(k))
         return p.shift(self.shift)
 
-    def order_lower_bound(self):
-        """Cheap certified lower bound on the t-order (exact if no cancellation)."""
-        if self.is_zero():
-            return None
-        return self.shift  # numer and all (1-t^k)^e expansions start at t^0
-
     def evaluate(self, x):
         """Exact value at t = x, removing removable singularities.
 

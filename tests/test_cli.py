@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from parbetti import cli
 from parbetti.cli import (
     EXIT_INTERNAL,
     EXIT_INVALID,
@@ -330,6 +331,36 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PARBETTI_WORKERS", "2")
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == serial
+
+
+def test_sweep_pool_no_larger_than_its_jobs(tmp_path, capsys, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    path = _doc(tmp_path, CASE_A)
+    argv = ["sweep", path, "--genus-range", "1..2", "--format", "csv"]
+    monkeypatch.delenv("PARBETTI_WORKERS", raising=False)
+    assert main(argv) == EXIT_OK
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setenv("PARBETTI_WORKERS", "64")
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == serial
+    assert sizes == [2]
 
 
 def test_sweep_bad_worker_var(tmp_path, capsys, monkeypatch):

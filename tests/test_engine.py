@@ -25,6 +25,7 @@ from parbetti.engine import (
 )
 from parbetti.laurent import LaurentPoly
 from parbetti.parabolic import Instance, make_data
+from parbetti.ratfunc import FactoredRatFunc
 from parbetti.result import NonPolynomialResult
 
 R2 = make_data([((1, 1), ("0", "1/3"))])
@@ -143,6 +144,28 @@ def test_siegel_identity_small():
     assert siegel_check(R2, 2, 1, 20) == (True, None)
     assert siegel_check(R2, 1, 0, 14) == (True, None)
     assert siegel_check(R3, 1, 1, 16) == (True, None)
+
+
+def test_siegel_check_sees_a_wrong_stable_count(monkeypatch):
+    closed = engine.q_ratfunc
+
+    def rank1_plus_t6(data, d, genus):
+        func = closed(data, d, genus)
+        return func + FactoredRatFunc.monomial(6) if data.rank == 1 else func
+
+    monkeypatch.setattr(engine, "q_ratfunc", rank1_plus_t6)
+    assert siegel_check(R2, 2, 1, 20) == (False, 5)
+
+
+def test_siegel_check_sees_a_wrong_recursion_step(monkeypatch):
+    step = engine._Recursor._partition_term
+
+    def shifted(self, part, d, trunc):
+        return step(self, part, d, trunc).shift(2)
+
+    monkeypatch.setattr(engine._Recursor, "_partition_term", shifted)
+    assert siegel_check(R2, 2, 1, 20)[0] is False
+    assert siegel_check(R3, 1, 1, 16)[0] is False
 
 
 def test_method_dispatch():

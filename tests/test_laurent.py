@@ -6,6 +6,7 @@ from parbetti.laurent import (
     LaurentPoly,
     LaurentSeries,
     NonDivisible,
+    TruncationLimit,
     divide_exact,
     geometric_power,
     one_minus,
@@ -121,3 +122,75 @@ def test_first_difference():
     b = LaurentSeries({0: 1, 4: 3}, 9)
     assert a.first_difference(b) == 4
     assert a.first_difference(a) is None
+
+
+# -- the product and sum kernels against naive double loops -----------------
+
+
+def _random_coeffs(rng):
+    """Sparse dict with negative exponents, unsorted insertion order, and
+    coefficients that often cancel in products and sums."""
+    exps = rng.sample(range(-6, 12), rng.randrange(0, 9))
+    return {e: F(rng.choice((-2, -1, 1, 1, 2, 3)), rng.choice((1, 1, 2, 3))) for e in exps}
+
+
+def _naive_product(a, b, top=None):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            if top is None or ea + eb <= top:
+                out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _naive_sum(a, b, top=None):
+    out = {}
+    for d in (a, b):
+        for e, c in d.items():
+            if top is None or e <= top:
+                out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _stored_well(obj):
+    return all(type(c) is Fraction and c != 0 for c in obj.coeffs.values())
+
+
+def test_products_and_sums_match_naive_loops():
+    import random
+
+    rng = random.Random(11)
+    cancelled = 0
+    for _ in range(400):
+        a, b = _random_coeffs(rng), _random_coeffs(rng)
+        pa, pb = P(a), P(b)
+        ta, tb = rng.randrange(-4, 14), rng.randrange(-4, 14)
+        sa, sb = LaurentSeries(a, ta), LaurentSeries(b, tb)
+        a_in, b_in = sa.coeffs, sb.coeffs
+
+        prod, total = pa * pb, pa + pb
+        assert prod.coeffs == _naive_product(a, b)
+        assert total.coeffs == _naive_sum(a, b)
+
+        top = min(ta + sb.order_bound(), tb + sa.order_bound())
+        sprod = sa * sb
+        assert (sprod.trunc, sprod.coeffs) == (top, _naive_product(a_in, b_in, top))
+        ssum = sa + sb
+        top = min(ta, tb)
+        assert (ssum.trunc, ssum.coeffs) == (top, _naive_sum(a_in, b_in, top))
+
+        if b:
+            spoly = sa.mul_poly(pb)
+            top = ta + pb.min_exp()
+            assert (spoly.trunc, spoly.coeffs) == (top, _naive_product(a_in, b, top))
+            assert _stored_well(spoly)
+        for res in (prod, total, sprod, ssum):
+            assert _stored_well(res)
+        cancelled += len(total.coeffs) < len(set(a) | set(b))
+    assert cancelled > 20  # the operands really do cancel
+
+
+def test_product_past_max_truncation_rejected():
+    s = LaurentSeries({6000: 1}, 15000)
+    with pytest.raises(TruncationLimit):
+        s * s  # exact through 15000 + 6000 = 21000 > MAX_TRUNCATION
