@@ -1,6 +1,7 @@
 """Instance documents end to end: parse, compute, compare, check."""
 
 import json
+import os
 import tempfile
 
 from parbetti.cli import emit_document, main, parse_document
@@ -19,15 +20,16 @@ assert parse_document(emit_document(instance, options))[0] == instance
 print("document round trip holds")
 print()
 
-with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-    json.dump(doc, fh)
-    path = fh.name
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "instance.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
 
-print("== compute, text format ==")
-main(["compute", path, "--format", "text"])
-print()
-print("== compare every applicable method ==")
-main(["compare", path])
-print()
-print("== stability report ==")
-main(["check", path])
+    print("== compute, text format ==")
+    main(["compute", path, "--format", "text"])
+    print()
+    print("== compare every applicable method ==")
+    main(["compare", path])
+    print()
+    print("== stability report ==")
+    main(["check", path])

@@ -6,6 +6,7 @@ per column, dashes above each column's middle dimension.
 """
 
 import json
+import os
 import sys
 import tempfile
 
@@ -22,8 +23,10 @@ doc = {
     ],
 }
 
-with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-    json.dump(doc, fh)
-    path = fh.name
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "instance.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code = main(["sweep", path, "--genus-range", "0..3", "--format", "latex"])
 
-sys.exit(main(["sweep", path, "--genus-range", "0..3", "--format", "latex"]))
+sys.exit(code)

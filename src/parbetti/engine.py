@@ -260,9 +260,13 @@ class _Recursor:
         hit = self.memo.get(key)
         if hit is not None and hit.trunc >= trunc:
             return hit
-        series = self._compute(cdata, key[1], trunc).exact_through(trunc)
+        series = self._stable_count(cdata, key[1], trunc).exact_through(trunc)
         self.memo[key] = series
         return series
+
+    def _stable_count(self, data, d, trunc):
+        """Stable count of canonical data through trunc, before memoising."""
+        return self._compute(data, d, trunc)
 
     def _compute(self, data, d, trunc):
         total = _block_q(data, self.genus).expand(trunc)
@@ -377,14 +381,8 @@ def recursion_poincare(instance, truncation=None, force=False):
 class _ClosedCounts(_Recursor):
     """The recursion step fed with the closed route's stable counts."""
 
-    def q_series(self, data, d, trunc):
-        cdata = canonical_form(data)
-        key = (cdata, d % cdata.rank)
-        hit = self.memo.get(key)
-        if hit is None or hit.trunc < trunc:
-            hit = q_ratfunc(cdata, key[1], self.genus).expand(trunc)
-            self.memo[key] = hit
-        return hit
+    def _stable_count(self, data, d, trunc):
+        return q_ratfunc(data, d, self.genus).expand(trunc)
 
 
 def siegel_check(data, genus, d, order):

@@ -397,18 +397,6 @@ class LaurentSeries:
     def __hash__(self):
         return hash((self.trunc, frozenset(self.coeffs.items())))
 
-    def agrees_with(self, other, through=None):
-        """Compare coefficients through min(truncs) or an explicit bound."""
-        n = min(self.trunc, other.trunc)
-        if through is not None:
-            if through > n:
-                raise ValueError("comparison bound exceeds truncation")
-            n = through
-        for e in set(self.coeffs) | set(other.coeffs):
-            if e <= n and self.coeffs.get(e, 0) != other.coeffs.get(e, 0):
-                return False
-        return True
-
     def first_difference(self, other, through=None):
         """Smallest exponent where the series differ, or None."""
         n = min(self.trunc, other.trunc)

@@ -6,6 +6,12 @@ multiplicities are allowed so that sub-data and blocks of a partition can be
 kept aligned with the ambient flag; dropping the zero rows is the canonical
 form and the two presentations are interchangeable.
 
+Outside input is validated once, by the public constructors it enters
+through (FlagPoint, QPData, make_data).  Everything derived here from
+already-valid data (blocks, prefixes, tails, sub-data, canonical forms) is
+built by ``_derived`` without re-checking, and compares and hashes equal to
+the same rows built through ``make_data``.
+
 A Partition splits the data into r ordered blocks: at every point a matrix
 with the data's multiplicities as row sums and a common column-sum vector
 (the block ranks) across points.  These index the filtration strata that
@@ -88,6 +94,24 @@ def make_data(point_specs):
     return QPData(tuple(FlagPoint(tuple(m), tuple(w)) for m, w in point_specs))
 
 
+def _derived(rows):
+    """QPData from (mults, weights) rows derived from validated data.
+
+    Skips the constructors' checks: mults must be a tuple of non-negative
+    ints with one equal, positive sum per point, and weights an equally
+    long subsequence of a validated point's weights.
+    """
+    pts = []
+    for mults, weights in rows:
+        p = object.__new__(FlagPoint)
+        object.__setattr__(p, "mults", mults)
+        object.__setattr__(p, "weights", weights)
+        pts.append(p)
+    data = object.__new__(QPData)
+    object.__setattr__(data, "points", tuple(pts))
+    return data
+
+
 @dataclass(frozen=True)
 class Instance:
     genus: int
@@ -123,28 +147,11 @@ def moduli_dim(data, genus):
 
 def canonical_form(data):
     """Drop zero-multiplicity rows; weights of surviving rows are kept."""
-    pts = []
+    rows = []
     for p in data.points:
         kept = [(m, w) for m, w in zip(p.mults, p.weights) if m > 0]
-        pts.append(FlagPoint(tuple(m for m, _ in kept), tuple(w for _, w in kept)))
-    return QPData(tuple(pts))
-
-
-def reembed(data, ambient):
-    """Express data on the ambient weight rows, inserting zero rows.
-
-    Inverse of canonical_form for sub-data of ambient: every weight row of
-    data must occur among the ambient point's rows.
-    """
-    if data.num_points != ambient.num_points:
-        raise ValueError("point counts differ")
-    pts = []
-    for p, q in zip(data.points, ambient.points):
-        lookup = dict(zip(p.weights, p.mults))
-        if len(lookup) != len(p.weights) or not set(p.weights) <= set(q.weights):
-            raise ValueError("weights do not embed into the ambient rows")
-        pts.append(FlagPoint(tuple(lookup.get(w, 0) for w in q.weights), q.weights))
-    return QPData(tuple(pts))
+        rows.append((tuple(m for m, _ in kept), tuple(w for _, w in kept)))
+    return _derived(rows)
 
 
 def _bounded_compositions(total, bounds):
@@ -182,27 +189,9 @@ def subdata(data, rank_of_sub=None):
         per_point = [_bounded_compositions(r, p.mults) for p in data.points]
         for combo in iproduct(*per_point):
             out.append(
-                QPData(
-                    tuple(
-                        FlagPoint(mults, p.weights)
-                        for mults, p in zip(combo, data.points)
-                    )
-                )
+                _derived((mults, p.weights) for mults, p in zip(combo, data.points))
             )
     return out
-
-
-def complement(data, sub):
-    """The componentwise complement data - sub, zero rows retained."""
-    pts = []
-    for p, q in zip(data.points, sub.points):
-        if p.weights != q.weights:
-            raise ValueError("sub-data rows are not aligned with the data")
-        mults = tuple(a - b for a, b in zip(p.mults, q.mults))
-        if any(m < 0 for m in mults):
-            raise ValueError("not a sub-datum")
-        pts.append(FlagPoint(mults, p.weights))
-    return QPData(tuple(pts))
 
 
 @dataclass(frozen=True)
@@ -211,35 +200,14 @@ class Partition:
 
     tables[p][i][k] is how much of row i at point p lands in block k; row
     sums reproduce the data multiplicities and column sums are the block
-    ranks, the same at every point.
+    ranks, the same at every point.  The library builds one only in
+    ``partitions`` and ``head``/``tail``, from tables valid by
+    construction, so it is not checked.
     """
 
     data: QPData
     cols: tuple
     tables: tuple
-
-    def __post_init__(self):
-        cols = tuple(int(c) for c in self.cols)
-        tables = tuple(tuple(tuple(row) for row in tbl) for tbl in self.tables)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "tables", tables)
-        if not cols or any(c < 1 for c in cols):
-            raise ValueError("block ranks must be >= 1")
-        if sum(cols) != self.data.rank:
-            raise ValueError("block ranks must sum to the rank")
-        if len(tables) != self.data.num_points:
-            raise ValueError("one table per point required")
-        for p, tbl in zip(self.data.points, tables):
-            if len(tbl) != len(p.mults):
-                raise ValueError("table row count differs from flag length")
-            for i, row in enumerate(tbl):
-                if len(row) != len(cols) or any(v < 0 for v in row):
-                    raise ValueError("bad table row")
-                if sum(row) != p.mults[i]:
-                    raise ValueError("row sums must reproduce the multiplicities")
-            for k in range(len(cols)):
-                if sum(row[k] for row in tbl) != cols[k]:
-                    raise ValueError("column sums must equal the block ranks")
 
     @property
     def length(self):
@@ -247,20 +215,20 @@ class Partition:
 
     def block(self, k):
         """Block k as data on the full weight rows (zeros retained)."""
-        pts = []
-        for p, tbl in zip(self.data.points, self.tables):
-            pts.append(FlagPoint(tuple(row[k] for row in tbl), p.weights))
-        return QPData(tuple(pts))
+        return _derived(
+            (tuple(row[k] for row in tbl), p.weights)
+            for p, tbl in zip(self.data.points, self.tables)
+        )
 
     def blocks(self):
         return [self.block(k) for k in range(self.length)]
 
     def prefix_data(self, j):
         """Union of the first j blocks as data."""
-        pts = []
-        for p, tbl in zip(self.data.points, self.tables):
-            pts.append(FlagPoint(tuple(sum(row[:j]) for row in tbl), p.weights))
-        return QPData(tuple(pts))
+        return _derived(
+            (tuple(sum(row[:j]) for row in tbl), p.weights)
+            for p, tbl in zip(self.data.points, self.tables)
+        )
 
     def head(self, j):
         """Induced partition of the first j blocks, 1 <= j <= r."""
@@ -269,12 +237,12 @@ class Partition:
 
     def tail(self, j):
         """Induced partition of the blocks after the first j."""
-        pts = []
-        tables = []
-        for p, tbl in zip(self.data.points, self.tables):
-            pts.append(FlagPoint(tuple(sum(row[j:]) for row in tbl), p.weights))
-            tables.append(tuple(row[j:] for row in tbl))
-        return Partition(QPData(tuple(pts)), self.cols[j:], tuple(tables))
+        data = _derived(
+            (tuple(sum(row[j:]) for row in tbl), p.weights)
+            for p, tbl in zip(self.data.points, self.tables)
+        )
+        tables = tuple(tuple(row[j:] for row in tbl) for tbl in self.tables)
+        return Partition(data, self.cols[j:], tables)
 
 
 def _compositions(n, r):
@@ -359,48 +327,6 @@ def coinv_count(part):
                     for t in range(i + 1, rows):
                         total += a * tbl[t][l]
     return total
-
-
-def split_inversions(data, sub):
-    """Pairs with complement mass strictly deeper than sub-data mass."""
-    comp = complement(data, sub)
-    total = 0
-    for pc, ps in zip(comp.points, sub.points):
-        rows = len(pc.mults)
-        for i in range(1, rows):
-            a = pc.mults[i]
-            if not a:
-                continue
-            for t in range(i):
-                total += a * ps.mults[t]
-    return total
-
-
-def hom_euler(ranks, degs, genus):
-    """Euler pairing between the ordered graded pieces of ranks and degrees."""
-    total = 0
-    r = len(ranks)
-    for k in range(1, r):
-        for l in range(k):
-            total += degs[l] * ranks[k] - degs[k] * ranks[l]
-            total += (genus - 1) * ranks[l] * ranks[k]
-    return total
-
-
-def term_exponent(part, degs):
-    """Exponent of a filtration term in the point-count recursion."""
-    cols = part.cols
-    r = part.length
-    total = 0
-    for k in range(1, r):
-        for l in range(k):
-            total += degs[l] * cols[k] - degs[k] * cols[l]
-    return total - inv_count(part)
-
-
-def stratum_exponent(part, degs, genus):
-    """Codimension-style exponent of a filtration stratum."""
-    return inv_count(part) - hom_euler(part.cols, degs, genus)
 
 
 def linear_offset(part, d):

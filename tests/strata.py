@@ -1,0 +1,84 @@
+"""Stratum identities of the filtration recursion, used only by the tests.
+
+No route calls these: they restate the exponents of single strata and of
+sub-datum splits so the tests can check the combinatorial identities that
+the routes' closed sums rely on.
+"""
+
+from parbetti.parabolic import FlagPoint, QPData, _derived, inv_count
+
+
+def reembed(data, ambient):
+    """Express data on the ambient weight rows, inserting zero rows.
+
+    Inverse of canonical_form for sub-data of ambient: every weight row of
+    data must occur among the ambient point's rows.
+    """
+    if data.num_points != ambient.num_points:
+        raise ValueError("point counts differ")
+    pts = []
+    for p, q in zip(data.points, ambient.points):
+        lookup = dict(zip(p.weights, p.mults))
+        if len(lookup) != len(p.weights) or not set(p.weights) <= set(q.weights):
+            raise ValueError("weights do not embed into the ambient rows")
+        pts.append(FlagPoint(tuple(lookup.get(w, 0) for w in q.weights), q.weights))
+    return QPData(tuple(pts))
+
+
+def complement(data, sub):
+    """The componentwise complement data - sub, zero rows retained.
+
+    Built like the library's derived data: once the rows are aligned and
+    non-negative, the complement of a proper sub-datum is valid.
+    """
+    rows = []
+    for p, q in zip(data.points, sub.points):
+        if p.weights != q.weights:
+            raise ValueError("sub-data rows are not aligned with the data")
+        mults = tuple(a - b for a, b in zip(p.mults, q.mults))
+        if any(m < 0 for m in mults):
+            raise ValueError("not a sub-datum")
+        rows.append((mults, p.weights))
+    return _derived(rows)
+
+
+def split_inversions(data, sub):
+    """Pairs with complement mass strictly deeper than sub-data mass."""
+    comp = complement(data, sub)
+    total = 0
+    for pc, ps in zip(comp.points, sub.points):
+        rows = len(pc.mults)
+        for i in range(1, rows):
+            a = pc.mults[i]
+            if not a:
+                continue
+            for t in range(i):
+                total += a * ps.mults[t]
+    return total
+
+
+def hom_euler(ranks, degs, genus):
+    """Euler pairing between the ordered graded pieces of ranks and degrees."""
+    total = 0
+    r = len(ranks)
+    for k in range(1, r):
+        for l in range(k):
+            total += degs[l] * ranks[k] - degs[k] * ranks[l]
+            total += (genus - 1) * ranks[l] * ranks[k]
+    return total
+
+
+def term_exponent(part, degs):
+    """Exponent of a filtration term in the point-count recursion."""
+    cols = part.cols
+    r = part.length
+    total = 0
+    for k in range(1, r):
+        for l in range(k):
+            total += degs[l] * cols[k] - degs[k] * cols[l]
+    return total - inv_count(part)
+
+
+def stratum_exponent(part, degs, genus):
+    """Codimension-style exponent of a filtration stratum."""
+    return inv_count(part) - hom_euler(part.cols, degs, genus)

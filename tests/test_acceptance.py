@@ -52,15 +52,11 @@ from parbetti.engine import siegel_check
 from parbetti.parabolic import (
     _compositions,
     degree_at_slope,
-    hom_euler,
     inv_count,
     coinv_count,
     linear_offset,
     partitions,
-    split_inversions,
-    stratum_exponent,
     subdata,
-    term_exponent,
 )
 from parbetti.rank2 import family_formula
 from parbetti.cli import build_parser
@@ -70,6 +66,7 @@ from oracles import (
     brute_partitions,
     brute_subdata,
 )
+from strata import hom_euler, split_inversions, stratum_exponent, term_exponent
 
 
 def _run_cli(argv):

@@ -17,8 +17,9 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
-    # documents.py and reference_table.py leave their input files in TMPDIR
-    env = dict(os.environ, TMPDIR=str(tmp_path))
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmp))
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     proc = subprocess.run(
@@ -31,3 +32,4 @@ def test_demo_runs(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+    assert not list(tmp.iterdir())

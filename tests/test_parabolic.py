@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from parbetti import compute, engine
 from parbetti.parabolic import (
     FlagPoint,
     Instance,
@@ -9,28 +10,30 @@ from parbetti.parabolic import (
     QPData,
     canonical_form,
     coinv_count,
-    complement,
     degree_at_slope,
     flag_dim,
     floor_sum,
     floor_sum_genus,
-    hom_euler,
     inv_count,
     linear_offset,
     make_data,
     moduli_dim,
     partitions,
-    reembed,
     slope_coincidence_witness,
-    split_inversions,
     ss_equals_stable,
-    stratum_exponent,
     subdata,
-    term_exponent,
     weight_sum,
 )
 
 from oracles import brute_partitions, brute_subdata
+from strata import (
+    complement,
+    hom_euler,
+    reembed,
+    split_inversions,
+    stratum_exponent,
+    term_exponent,
+)
 
 F = Fraction
 
@@ -129,11 +132,17 @@ def test_partitions_against_brute_force():
         [(2, 1)],
         [(1, 1), (2,)],
         [(1, 2), (2, 1)],
+        # the shapes of the large closed-form benchmark instances
+        [(1, 1, 1, 1), (1, 1, 1, 1)],
+        [(2, 1, 1), (1, 1, 2)],
+        [(1, 1, 1, 1, 1)],
     ]
     for mults in cases:
-        weights = [[F(i, 4) for i in range(len(m))] for m in mults]
+        weights = [[F(i, 8) for i in range(len(m))] for m in mults]
         data = make_data(list(zip(mults, weights)))
-        got = {(p.cols, p.tables) for p in partitions(data)}
+        parts = partitions(data)
+        got = {(p.cols, p.tables) for p in parts}
+        assert len(got) == len(parts)
         assert got == brute_partitions([tuple(m) for m in mults])
 
 
@@ -150,6 +159,52 @@ def test_partition_structure():
             head, tail = part.head(1), part.tail(1)
             assert head.data.rank + tail.data.rank == 3
             assert tail.cols == part.cols[1:]
+
+
+def _rebuilt(data):
+    return make_data([(p.mults, p.weights) for p in data.points])
+
+
+def test_derived_data_equals_validated_rows():
+    # blocks, prefixes, tails, sub-data and canonical forms skip validation;
+    # they must still be the very values make_data builds, or the block
+    # cache and the recursion memo would split their keys
+    data = make_data([([1, 2, 0], ["0", "1/3", "1/2"]), ([2, 1], ["1/5", "1/2"])])
+    derived = list(subdata(data))
+    for part in partitions(data):
+        r = part.length
+        derived += part.blocks()
+        derived += [part.prefix_data(j) for j in range(1, r + 1)]
+        derived += [part.head(j).data for j in range(1, r + 1)]
+        derived += [part.tail(j).data for j in range(r)]
+    derived += [canonical_form(d) for d in derived]
+    assert len(derived) > 100
+    for d in derived:
+        ref = _rebuilt(d)
+        assert d == ref
+        assert hash(d) == hash(ref)
+
+
+def test_routes_validate_input_once(monkeypatch):
+    data = make_data(
+        [([1, 1, 1], ["0", "1/12", "3/12"]), ([1, 1, 1], ["1/12", "5/12", "6/12"])]
+    )
+    inst = Instance(1, 0, data)
+    calls = []
+    for cls in (FlagPoint, QPData):
+
+        def counted(self, check=cls.__post_init__):
+            calls.append(type(self).__name__)
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    monkeypatch.setattr(engine, "_BLOCK_FACTOR_CACHE", {})
+    for method in ("closed", "qclosed", "recursion"):
+        compute(inst, method)
+    assert slope_coincidence_witness(data, 0) is None
+    assert calls == []
+    make_data([full_flag(2)])
+    assert calls == ["FlagPoint", "QPData"]
 
 
 def test_inversion_counts():

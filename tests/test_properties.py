@@ -16,15 +16,13 @@ from parbetti import (
 from parbetti.parabolic import (
     _compositions,
     degree_at_slope,
-    hom_euler,
     inv_count,
     coinv_count,
     linear_offset,
     partitions,
-    split_inversions,
-    stratum_exponent,
-    term_exponent,
 )
+
+from strata import hom_euler, split_inversions, stratum_exponent, term_exponent
 
 WEIGHT_POOL = sorted({Fraction(a, b) for b in range(1, 13) for a in range(b)})
 
