@@ -1,15 +1,20 @@
 """Exact Laurent polynomials and truncated Laurent series in one variable t.
 
-Coefficients are fractions.Fraction throughout.  A LaurentPoly is a finite
-sum of c*t^e with integer e (negative allowed).  A LaurentSeries carries its
-coefficients only up to a truncation exponent and tracks how far it is exact,
-so products of truncated series never silently pretend to more precision
-than they have.
+A LaurentPoly is a finite sum of c*t^e with integer e (negative allowed).
+A stored coefficient is never zero.  It is an int when its value is an
+integer and a fractions.Fraction with denominator > 1 otherwise, so the
+integral polynomials and series of every route run on Python ints.  A
+Fraction appears only where a value is not an integer: a negative power of
+a non-unit monomial, the inverse of a series whose lead is not +-1, a
+division by a non-unit leading coefficient, or input that holds one.
+
+A LaurentSeries carries its coefficients only up to a truncation exponent
+and tracks how far it is exact, so products of truncated series never
+silently pretend to more precision than they have.
 
 Every product and sum of polynomials and series runs through the two
-coefficient-dict kernels ``_product`` and ``_sum``; they are where the
-coefficient type lives, so changing it means changing them (and the
-constructors' ``_coerce``), not each operator.
+coefficient-dict kernels ``_product`` and ``_sum``.  They and the
+constructors' ``_coerce`` keep the normal form, so no operator has to.
 """
 
 from __future__ import annotations
@@ -34,18 +39,30 @@ class TruncationTooSmall(ValueError):
 
 
 def _coerce(c):
+    """The coefficient c in normal form: an int when it is integral."""
     if isinstance(c, Fraction):
-        return c
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+
+
+def _holds_fraction(d):
+    return Fraction in map(type, d.values())
+
+
+def _normal(d):
+    """d without zeros and with every integral Fraction stored as an int."""
+    return {e: c.numerator if c.denominator == 1 else c for e, c in d.items() if c}
 
 
 def _product(a, b, top=None):
     """Sparse product of two coefficient dicts, dropping exponents above top.
 
     With a top, the larger operand is sorted so that each row stops at the
-    first exponent past it.  Zeros are dropped once, at the end.
+    first exponent past it.  Zeros are dropped once, at the end.  Products of
+    ints are ints; only when an operand holds a Fraction can a result
+    coefficient be an integral Fraction, so only then is it normalised.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -65,11 +82,17 @@ def _product(a, b, top=None):
                 break
             e = ea + eb
             d[e] = get(e, 0) + ca * cb
+    if _holds_fraction(a) or _holds_fraction(b):
+        return _normal(d)
     return {e: c for e, c in d.items() if c}
 
 
 def _sum(a, b, top=None):
-    """Sum of two coefficient dicts, dropping exponents above top."""
+    """Sum of two coefficient dicts, dropping exponents above top.
+
+    A non-integral Fraction plus an int is never integral, so a sum needs
+    normalising only when b holds a Fraction.
+    """
     d = dict(a) if top is None else {e: c for e, c in a.items() if e <= top}
     for e, c in b.items():
         if top is not None and e > top:
@@ -79,11 +102,11 @@ def _sum(a, b, top=None):
             d[e] = s
         else:
             del d[e]  # c is nonzero, so only a stored term cancels it
-    return d
+    return _normal(d) if _holds_fraction(b) else d
 
 
 def _poly(d):
-    """Wrap a kernel result, whose coefficients are already nonzero Fractions."""
+    """Wrap a dict whose coefficients are already nonzero and in normal form."""
     out = LaurentPoly.__new__(LaurentPoly)
     object.__setattr__(out, "coeffs", d)
     return out
@@ -145,7 +168,7 @@ class LaurentPoly:
         return max(self.coeffs)
 
     def coeff(self, e):
-        return self.coeffs.get(e, Fraction(0))
+        return self.coeffs.get(e, 0)
 
     def items(self):
         return self.coeffs.items()
@@ -154,13 +177,10 @@ class LaurentPoly:
         """Multiply by t^k."""
         if k == 0:
             return self
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
+        return _poly({e + k: c for e, c in self.coeffs.items()})
 
     def scale(self, c):
-        c = _coerce(c)
-        if not c:
-            return LaurentPoly.zero()
-        return LaurentPoly({e: v * c for e, v in self.coeffs.items()})
+        return _poly(_product(self.coeffs, {0: _coerce(c)}))
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -174,7 +194,7 @@ class LaurentPoly:
         return hash(frozenset(self.coeffs.items()))
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+        return _poly({e: -c for e, c in self.coeffs.items()})
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -207,7 +227,7 @@ class LaurentPoly:
         return result
 
     def evaluate(self, x):
-        x = _coerce(x)
+        x = Fraction(_coerce(x))
         if x == 0 and self.coeffs and self.min_exp() < 0:
             raise ZeroDivisionError("negative exponent at t = 0")
         total = Fraction(0)
@@ -248,22 +268,24 @@ def divide_exact(num, den):
     dvs = {e - ds: c for e, c in den.coeffs.items()}
     dtop = max(dvs)
     dlead = dvs[dtop]
+    inv = dlead if dlead in (1, -1) else Fraction(1) / dlead  # 1/dlead, an int for a unit
     quot = {}
     while rem:
         rtop = max(rem)
         if rtop < dtop:
             raise NonDivisible(f"remainder of degree {rtop + ns}")
-        c = rem[rtop] / dlead
+        c = rem[rtop] * inv
         e = rtop - dtop
         quot[e] = c
         for de, dc in dvs.items():
             k = de + e
-            s = rem.get(k, Fraction(0)) - c * dc
+            s = rem.get(k, 0) - c * dc
             if s:
                 rem[k] = s
             elif k in rem:
                 del rem[k]
-    return LaurentPoly(quot).shift(ns - ds)
+    # the validating constructor stores integral Fractions as ints
+    return LaurentPoly({e + ns - ds: c for e, c in quot.items()})
 
 
 class LaurentSeries:
@@ -314,7 +336,7 @@ class LaurentSeries:
     def coeff(self, e):
         if e > self.trunc:
             raise ValueError(f"coefficient of t^{e} beyond truncation {self.trunc}")
-        return self.coeffs.get(e, Fraction(0))
+        return self.coeffs.get(e, 0)
 
     def exact_through(self, n):
         """Certify that this series is exact through t^n; returns it."""
@@ -327,19 +349,18 @@ class LaurentSeries:
     def truncate(self, n):
         if n >= self.trunc:
             return self
-        return LaurentSeries({e: c for e, c in self.coeffs.items() if e <= n}, n)
+        return _series({e: c for e, c in self.coeffs.items() if e <= n}, n)
 
     def shift(self, k):
         if k == 0:
             return self
-        return LaurentSeries({e + k: c for e, c in self.coeffs.items()}, self.trunc + k)
+        return _series({e + k: c for e, c in self.coeffs.items()}, self.trunc + k)
 
     def scale(self, c):
-        c = _coerce(c)
-        return LaurentSeries({e: v * c for e, v in self.coeffs.items()} if c else {}, self.trunc)
+        return _series(_product(self.coeffs, {0: _coerce(c)}, self.trunc), self.trunc)
 
     def __neg__(self):
-        return self.scale(-1)
+        return _series({e: -c for e, c in self.coeffs.items()}, self.trunc)
 
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -376,17 +397,19 @@ class LaurentSeries:
         if m is None:
             raise ZeroDivisionError("cannot invert a series with no known nonzero term")
         lead = self.coeffs[m]
+        inv = lead if lead in (1, -1) else Fraction(1) / lead  # 1/lead, an int for a unit
         trunc = self.trunc - 2 * m
         a = {e - m: c for e, c in self.coeffs.items()}
         n_terms = trunc + m  # compute b_0 .. b_{n_terms} of the order-0 inverse
-        b = [Fraction(1, 1) / lead]
+        b = [inv]
         for j in range(1, n_terms + 1):
-            s = Fraction(0)
+            s = 0
             for i in range(1, j + 1):
                 ai = a.get(i)
                 if ai:
                     s += ai * b[j - i]
-            b.append(-s / lead)
+            b.append(-s * inv)
+        # the validating constructor stores integral Fractions as ints
         return LaurentSeries({j - m: c for j, c in enumerate(b) if c}, trunc)
 
     def __eq__(self, other):
@@ -422,6 +445,6 @@ def geometric_power(k, m, trunc):
     d = {}
     j = 0
     while k * j <= trunc:
-        d[k * j] = Fraction(comb(m - 1 + j, m - 1))
+        d[k * j] = comb(m - 1 + j, m - 1)
         j += 1
-    return LaurentSeries(d, trunc)
+    return _series(d, trunc)

@@ -182,7 +182,7 @@ class FactoredRatFunc:
         if x == 0:
             if self.shift < 0:
                 raise PoleAtPoint("pole at t = 0")
-            return self.numer.coeff(0) if self.shift == 0 else Fraction(0)
+            return Fraction(self.numer.coeff(0)) if self.shift == 0 else Fraction(0)
         # split each piece as (t - x)^m * unit and combine orders exactly
         order, unit = _vanishing_split(self.numer, x)
         for k, e in self.factors.items():

@@ -131,6 +131,32 @@ def test_qclosed_matches_closed_rank4():
     assert poincare_qclosed(inst).poly == poincare_closed(inst).poly
 
 
+def test_routes_keep_integer_coefficients(monkeypatch):
+    """Every numerator and series on the general routes is integral, so none
+    of them may be stored as a Fraction."""
+    sums, recursors = [], []
+    block_sum = engine._block_sum
+
+    def recorded_sum(*args):
+        sums.append(block_sum(*args))
+        return sums[-1]
+
+    class Recorded(engine._Recursor):
+        def __init__(self, genus):
+            super().__init__(genus)
+            recursors.append(self)
+
+    monkeypatch.setattr(engine, "_block_sum", recorded_sum)
+    monkeypatch.setattr(engine, "_Recursor", Recorded)
+    monkeypatch.setattr(engine, "_BLOCK_FACTOR_CACHE", {})
+    inst = Instance(1, 1, R3_TWO)
+    polys = [compute(inst, m).poly for m in ("closed", "qclosed", "recursion")]
+    series = [s for rec in recursors for s in rec.memo.values()]
+    assert len(sums) == 2 and len(recursors) == 1 and len(series) > 1
+    for obj in polys + [f.numer for f in sums] + series:
+        assert all(type(c) is int for c in obj.coeffs.values()), obj
+
+
 def test_truncation_guard():
     inst = Instance(2, 1, R2)
     with pytest.raises(TruncationTooSmall):

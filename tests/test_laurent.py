@@ -12,6 +12,7 @@ from parbetti.laurent import (
     one_minus,
     one_plus,
 )
+from parbetti.ratfunc import FactoredRatFunc
 
 F = Fraction
 P = LaurentPoly
@@ -117,6 +118,55 @@ def test_geometric_power():
     assert g3.coeffs == {0: F(1), 3: F(1), 6: F(1), 9: F(1)}
 
 
+def _ints(obj):
+    return bool(obj.coeffs) and all(type(c) is int for c in obj.coeffs.values())
+
+
+def test_integer_inputs_stay_integer():
+    p, q = P({-1: 2, 0: -3, 4: 1}), P({0: 1, 2: 5, 3: -1})
+    s, u = LaurentSeries({0: 1, 1: -2, 5: 3}, 8), LaurentSeries({-1: 4, 2: 1}, 6)
+    outs = [
+        p * q, p + q, p - q, -p, p.shift(3), p.scale(-2), q**3,
+        s * u, s + u, s - u, -s, s.mul_poly(p), s.shift(-2), s.truncate(3), s.scale(3),
+        s.inverse(), LaurentSeries({0: -1, 1: 3, 4: 2}, 10).inverse(),
+        divide_exact(p * one_minus(3), one_minus(3)),
+        geometric_power(2, 3, 12),
+        FactoredRatFunc(2, q, {1: 2, 3: -1}).expand(15),
+        FactoredRatFunc(-1, one_minus(6), {2: -1, 3: 1}).to_laurent_poly(),
+        # integral values reached through Fractions are stored as ints
+        P({0: F(6, 3), 2: F(-4, 4)}),
+        P({0: 4, 1: -2}).scale(F(1, 2)),
+        P({0: F(1, 2), 1: F(3, 2)}) * P({0: 2}),
+        P({0: F(1, 2), 1: 1}) + P({0: F(1, 2)}),
+        divide_exact(P({0: 1, 1: 3, 2: 2}), P({0: 1, 1: 2})),
+    ]
+    for out in outs:
+        assert _ints(out), out
+
+
+def test_rational_values_stay_exact():
+    power = P({1: 2}) ** -3
+    assert power.coeffs == {-3: F(1, 8)}
+    fpower = FactoredRatFunc.monomial(1, 2) ** -3
+    assert fpower == FactoredRatFunc(-3, P({0: F(1, 8)}))
+    inv = LaurentSeries({0: 2, 1: 1}, 4).inverse()
+    assert inv.coeffs == {0: F(1, 2), 1: F(-1, 4), 2: F(1, 8), 3: F(-1, 16), 4: F(1, 32)}
+    quot = divide_exact(P({0: 1, 1: F(5, 2), 2: 1}), P({0: 2, 1: 1}))
+    assert quot.coeffs == {0: F(1, 2), 1: 1}
+    for obj in (power, fpower.numer, inv, quot):
+        assert _stored_well(obj)
+
+    values = [
+        P({0: 1, 1: 1}).evaluate(2),
+        P({-1: 3}).evaluate(F(1, 2)),
+        P.zero().evaluate(1),
+        FactoredRatFunc(0, one_plus(1), {1: -1}).evaluate(0),
+        FactoredRatFunc(0, one_plus(1), {1: -1}).evaluate(3),
+    ]
+    assert values == [3, 6, 0, 1, -2]
+    assert all(type(v) is Fraction for v in values)
+
+
 def test_first_difference():
     a = LaurentSeries({0: 1, 4: 2}, 9)
     b = LaurentSeries({0: 1, 4: 3}, 9)
@@ -153,7 +203,10 @@ def _naive_sum(a, b, top=None):
 
 
 def _stored_well(obj):
-    return all(type(c) is Fraction and c != 0 for c in obj.coeffs.values())
+    return all(
+        c != 0 and (type(c) is int if c.denominator == 1 else type(c) is Fraction)
+        for c in obj.coeffs.values()
+    )
 
 
 def test_products_and_sums_match_naive_loops():
