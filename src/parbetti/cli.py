@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .engine import (
@@ -348,6 +347,9 @@ def cmd_sweep(args, out=None):
     ]
     workers = _worker_count()
     if workers >= 2 and len(jobs) > 1:
+        # imported here: multiprocessing is costly to load and most runs never pool
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool starts all of its workers at once, so size it by the work
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             cells = list(pool.map(_sweep_cell, jobs))

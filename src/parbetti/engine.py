@@ -10,7 +10,10 @@ Three independent routes to the same polynomial:
   Betti numbers; ``compare_methods`` checks it against the first route.
 * ``recursion_poincare``: solves the filtration recursion numerically in
   truncated Laurent series with certified truncation bookkeeping, never
-  citing the closed solution.
+  citing the closed solution.  Each stratum's Harder-Narasimhan degree
+  tuples, found by an integer search, are grouped by their residues mod
+  the block ranks: one series product per class, times an exact polynomial
+  of the class's shifts.
 
 ``siegel_check`` verifies the underlying mass identity order by order: it
 runs the recursion's own step on the closed route's stable counts.
@@ -175,6 +178,20 @@ def poincare_qclosed(instance, force=False):
     return _certify(func, instance, "qclosed", ss_ok)
 
 
+def _integer_weights(cols, alphas):
+    """Weight sums as integer numerators over their lcm denominator D, and
+    the pairwise pairing floors ``floor(a_k n_l - a_l n_k) + 1`` (l < k) they
+    give, computed in integers; entries with l >= k are 0."""
+    den = math.lcm(*(Fraction(a).denominator for a in alphas))
+    nums = [int(a * den) for a in alphas]
+    r = len(cols)
+    lb = [[0] * r for _ in range(r)]
+    for l in range(r):
+        for k in range(l + 1, r):
+            lb[l][k] = (nums[k] * cols[l] - nums[l] * cols[k]) // den + 1
+    return den, nums, lb
+
+
 def hn_degree_tuples(cols, alphas, d, pairing_bound):
     """Integer degree tuples with total ``d``, strictly decreasing block
     slopes, and cross pairing at most ``pairing_bound``.
@@ -190,8 +207,10 @@ def hn_degree_tuples(cols, alphas, d, pairing_bound):
     * the remaining blocks must fit strictly under the current slope, which
       caps it from below.
 
-    No artificial cutoff is involved, so the returned list is complete.
-    Returns (tuple, pairing) pairs.
+    The weight sums are scaled once to integers over their common
+    denominator, so every floor, ceiling and slope comparison is integer
+    arithmetic.  No artificial cutoff is involved, so the returned list is
+    complete.  Returns (tuple, pairing) pairs.
     """
     if any(c < 1 for c in cols):
         raise ValueError(f"block ranks must be >= 1, got {tuple(cols)}")
@@ -199,16 +218,13 @@ def hn_degree_tuples(cols, alphas, d, pairing_bound):
     n = sum(cols)
     if r == 1:
         return [((d,), 0)] if pairing_bound >= 0 else []
-    lb = [[0] * r for _ in range(r)]
-    for l in range(r):
-        for k in range(l + 1, r):
-            lb[l][k] = math.floor(alphas[k] * cols[l] - alphas[l] * cols[k]) + 1
+    den, a, lb = _integer_weights(cols, alphas)
     lbsuf = [0] * (r + 1)
     for j in range(r - 1, -1, -1):
-        lbsuf[j] = lbsuf[j + 1] + sum(lb[j][k] for k in range(j + 1, r))
-    asuf = [Fraction(0)] * (r + 1)
+        lbsuf[j] = lbsuf[j + 1] + sum(lb[j])
+    asuf = [0] * (r + 1)
     for j in range(r - 1, -1, -1):
-        asuf[j] = asuf[j + 1] + alphas[j]
+        asuf[j] = asuf[j + 1] + a[j]
     out = []
 
     def rec(j, deg_sum, pair_in, prefix):
@@ -216,14 +232,14 @@ def hn_degree_tuples(cols, alphas, d, pairing_bound):
         nj = cols[j]
         if j == r - 1:
             v = d - deg_sum
-            if (v + alphas[j]) * cols[j - 1] >= (prefix[-1] + alphas[j - 1]) * nj:
+            if (v * den + a[j]) * cols[j - 1] >= (prefix[-1] * den + a[j - 1]) * nj:
                 return
             pair_total = pair_in + nj * deg_sum - v * nprev
             if pair_total <= pairing_bound:
                 out.append((tuple(prefix) + (v,), pair_total))
             return
-        x = nj * (d - deg_sum + asuf[j + 1]) - (n - nprev - nj) * alphas[j]
-        lo = math.floor(Fraction(x, n - nprev)) + 1
+        x = nj * ((d - deg_sum) * den + asuf[j + 1]) - (n - nprev - nj) * a[j]
+        lo = x // (den * (n - nprev)) + 1
         c0 = (
             pair_in
             + nj * deg_sum
@@ -231,10 +247,11 @@ def hn_degree_tuples(cols, alphas, d, pairing_bound):
             - d * (nprev + nj)
             + lbsuf[j + 1]
         )
-        hi = math.floor(Fraction(pairing_bound - c0, n - nprev))
+        hi = (pairing_bound - c0) // (n - nprev)
         if j > 0:
-            cap = Fraction(prefix[-1] + alphas[j - 1], cols[j - 1]) * nj - alphas[j]
-            hi = min(hi, math.ceil(cap) - 1)
+            # block j's slope stays under block j-1's: v < cap / (den n_{j-1})
+            cap = (prefix[-1] * den + a[j - 1]) * nj - a[j] * cols[j - 1]
+            hi = min(hi, -(-cap // (den * cols[j - 1])) - 1)
         for v in range(lo, hi + 1):
             rec(j + 1, deg_sum + v, pair_in + nj * deg_sum - v * nprev, prefix + [v])
 
@@ -278,20 +295,22 @@ class _Recursor:
 
     def _partition_term(self, part, d, trunc):
         """Sum over degree tuples of one block decomposition, exact through
-        trunc.  Tuples whose certified order exceeds trunc are skipped; the
-        bound argument to the enumerator makes the skipped tail rigorous."""
+        trunc.
+
+        The product of the block series depends only on the residues
+        ``d_k mod n_k``; a tuple adds only the shift ``2(pairing - sigma)``.
+        So the tuples are grouped by residue class, each class's shifts
+        collected into one exact polynomial, and the block series multiplied
+        once per class.  A class whose certified order exceeds trunc at its
+        smallest shift is skipped; the bound argument to the enumerator makes
+        the skipped tail rigorous."""
         g = self.genus
         blocks = part.blocks()
         r = part.length
         cols = part.cols
         sigma = inv_count(part)
         alphas = [weight_sum(b) for b in blocks]
-        min_pairing = 0
-        for l in range(r):
-            for k in range(l + 1, r):
-                min_pairing += (
-                    math.floor(alphas[k] * cols[l] - alphas[l] * cols[k]) + 1
-                )
+        min_pairing = sum(map(sum, _integer_weights(cols, alphas)[2]))
         qhat_orders = [
             -b.rank**2 * (g - 1) - 2 * flag_dim(b) for b in blocks
         ]
@@ -314,29 +333,34 @@ class _Recursor:
             raise TruncationTooSmall(
                 f"degree-tuple bound {bound} leaves terms below t^{trunc}"
             )
-        acc = LaurentSeries.zero(trunc)
+        classes = {}
         for dvec, pairing in hn_degree_tuples(cols, alphas, d, bound):
+            shifts = classes.setdefault(
+                tuple(dk % nk for dk, nk in zip(dvec, cols)), {}
+            )
             shift = 2 * (pairing - sigma)
+            shifts[shift] = shifts.get(shift, 0) + 1
+        acc = LaurentSeries.zero(trunc)
+        for rhos, shifts in classes.items():
+            low = min(shifts)
             while True:
-                prod = None
-                for k in range(r):
-                    s = per_block[k][dvec[k] % blocks[k].rank]
-                    prod = s if prod is None else prod * s
-                if prod.order_bound() + shift > trunc:
+                prod = per_block[0][rhos[0]]
+                for k in range(1, r):
+                    prod = prod * per_block[k][rhos[k]]
+                if prod.order_bound() + low > trunc:
                     prod = None
                     break
-                if prod.trunc + shift >= trunc:
+                if prod.trunc + low >= trunc:
                     break
                 # a block series started later than its family count
                 # predicts; deepen every factor by the deficit and retry
-                bump = trunc - shift - prod.trunc
+                bump = trunc - low - prod.trunc
                 for k in range(r):
-                    rho = dvec[k] % blocks[k].rank
-                    per_block[k][rho] = self.q_series(
-                        blocks[k], rho, per_block[k][rho].trunc + bump
+                    per_block[k][rhos[k]] = self.q_series(
+                        blocks[k], rhos[k], per_block[k][rhos[k]].trunc + bump
                     )
             if prod is not None:
-                acc = acc + prod.shift(shift)
+                acc = acc + prod.truncate(trunc - low).mul_poly(LaurentPoly(shifts))
         return acc.exact_through(trunc)
 
 

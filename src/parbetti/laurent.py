@@ -356,9 +356,6 @@ class LaurentSeries:
             return self
         return _series({e + k: c for e, c in self.coeffs.items()}, self.trunc + k)
 
-    def scale(self, c):
-        return _series(_product(self.coeffs, {0: _coerce(c)}, self.trunc), self.trunc)
-
     def __neg__(self):
         return _series({e: -c for e, c in self.coeffs.items()}, self.trunc)
 

@@ -62,7 +62,7 @@ class FlagPoint:
         return sum(self.mults)
 
     def weight_sum(self):
-        return sum((Fraction(m) * w for m, w in zip(self.mults, self.weights)), Fraction(0))
+        return sum((m * w for m, w in zip(self.mults, self.weights) if m), Fraction(0))
 
 
 @dataclass(frozen=True)

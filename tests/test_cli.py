@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface."""
 
+import concurrent.futures
 import json
 
 import pytest
@@ -356,7 +357,7 @@ def test_sweep_pool_no_larger_than_its_jobs(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("PARBETTI_WORKERS", raising=False)
     assert main(argv) == EXIT_OK
     serial = capsys.readouterr().out
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setenv("PARBETTI_WORKERS", "64")
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == serial

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -23,8 +25,15 @@ from parbetti.engine import (
     recursion_poincare,
     siegel_check,
 )
-from parbetti.laurent import LaurentPoly
-from parbetti.parabolic import Instance, make_data
+from parbetti.laurent import LaurentPoly, LaurentSeries
+from parbetti.parabolic import (
+    Instance,
+    flag_dim,
+    inv_count,
+    make_data,
+    partitions,
+    weight_sum,
+)
 from parbetti.ratfunc import FactoredRatFunc
 from parbetti.result import NonPolynomialResult
 
@@ -306,3 +315,119 @@ def test_degree_tuple_single_block():
 def test_degree_tuples_reject_empty_block():
     with pytest.raises(ValueError, match="block ranks"):
         hn_degree_tuples((1, 0, 1), [Fraction(0)] * 3, 0, 5)
+
+
+# -- residue-class regrouping of the recursion step --------------------------
+
+LADDER_TWO = make_data(
+    [((1, 1, 1), ("0", "1/5", "3/7")), ((1, 1, 1), ("1/11", "2/9", "5/8"))]
+)
+
+
+def _per_tuple_term(rec, part, d, trunc):
+    """The recursion step with one series product per degree tuple."""
+    g = rec.genus
+    blocks = part.blocks()
+    r = part.length
+    cols = part.cols
+    sigma = inv_count(part)
+    alphas = [weight_sum(b) for b in blocks]
+    min_pairing = 0
+    for l in range(r):
+        for k in range(l + 1, r):
+            min_pairing += math.floor(alphas[k] * cols[l] - alphas[l] * cols[k]) + 1
+    qhat_orders = [-b.rank**2 * (g - 1) - 2 * flag_dim(b) for b in blocks]
+    per_block = []
+    certs = []
+    for k, b in enumerate(blocks):
+        probe = trunc - 2 * (min_pairing - sigma) - (sum(qhat_orders) - qhat_orders[k])
+        by_residue = {rho: rec.q_series(b, rho, probe) for rho in range(b.rank)}
+        per_block.append(by_residue)
+        certs.append(min(s.order_bound() for s in by_residue.values()))
+    bound = (trunc - sum(certs)) // 2 + sigma
+    acc = LaurentSeries.zero(trunc)
+    for dvec, pairing in hn_degree_tuples(cols, alphas, d, bound):
+        shift = 2 * (pairing - sigma)
+        while True:
+            prod = None
+            for k in range(r):
+                s = per_block[k][dvec[k] % blocks[k].rank]
+                prod = s if prod is None else prod * s
+            if prod.order_bound() + shift > trunc:
+                prod = None
+                break
+            if prod.trunc + shift >= trunc:
+                break
+            bump = trunc - shift - prod.trunc
+            for k in range(r):
+                rho = dvec[k] % blocks[k].rank
+                per_block[k][rho] = rec.q_series(
+                    blocks[k], rho, per_block[k][rho].trunc + bump
+                )
+        if prod is not None:
+            acc = acc + prod.shift(shift)
+    return acc.exact_through(trunc)
+
+
+@pytest.mark.parametrize("genus", [0, 1, 2])
+def test_partition_term_matches_per_tuple_sum(genus):
+    """Grouping degree tuples by residue class changes no coefficient."""
+    trunc = 16
+    parts = partitions(LADDER_TWO, min_length=2)
+    assert len(parts) > 10
+    nonzero = 0
+    for d in range(3):
+        grouped, per_tuple = engine._Recursor(genus), engine._Recursor(genus)
+        for part in parts:
+            got = grouped._partition_term(part, d, trunc)
+            want = _per_tuple_term(per_tuple, part, d, trunc)
+            assert got.trunc == want.trunc == trunc
+            assert got.coeffs == want.coeffs, (part.cols, d)
+            nonzero += bool(got.coeffs)
+    assert nonzero > len(parts)
+
+
+def test_recursion_multiplies_once_per_residue_class(monkeypatch):
+    """Fewer series products than degree tuples: one per class, not per tuple."""
+    products, tuples = [], []
+    mul, enumerate_tuples = LaurentSeries.__mul__, engine.hn_degree_tuples
+
+    def counted_mul(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    def counted_tuples(*args):
+        found = enumerate_tuples(*args)
+        tuples.extend(found)
+        return found
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counted_mul)
+    monkeypatch.setattr(engine, "hn_degree_tuples", counted_tuples)
+    monkeypatch.setattr(engine, "_BLOCK_FACTOR_CACHE", {})
+    res = recursion_poincare(Instance(3, 0, LADDER_TWO))
+    assert res.poly == poincare_closed(Instance(3, 0, LADDER_TWO)).poly
+    assert len(tuples) > 1000
+    assert len(products) < len(tuples)
+
+
+def test_degree_tuple_enumeration_vs_brute_random():
+    """Mixed denominators, weight sums above 1, negative degrees and bounds."""
+    rng = random.Random(8)
+    dens = (3, 4, 5, 7, 8, 9, 11, 13)
+    checked = 0
+    for _ in range(160):
+        r = rng.choice((2, 2, 3))
+        cols = tuple(rng.randint(1, 3) for _ in range(r))
+        alphas = []
+        for _ in range(r):
+            q = rng.choice(dens)
+            alphas.append(Fraction(rng.randrange(3 * q), q))
+        d = rng.randint(-5, 5)
+        bound = rng.randint(-6, 14)
+        window = 40 if r == 2 else 18
+        got = sorted(hn_degree_tuples(cols, alphas, d, bound))
+        # every tuple found sits well inside the window searched
+        assert all(abs(x) <= window // 2 for dvec, _ in got for x in dvec)
+        assert got == _brute_tuples(cols, alphas, d, bound, window=window)
+        checked += len(got)
+    assert checked > 200

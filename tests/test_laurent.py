@@ -127,7 +127,8 @@ def test_integer_inputs_stay_integer():
     s, u = LaurentSeries({0: 1, 1: -2, 5: 3}, 8), LaurentSeries({-1: 4, 2: 1}, 6)
     outs = [
         p * q, p + q, p - q, -p, p.shift(3), p.scale(-2), q**3,
-        s * u, s + u, s - u, -s, s.mul_poly(p), s.shift(-2), s.truncate(3), s.scale(3),
+        s * u, s + u, s - u, -s, s.mul_poly(p), s.shift(-2), s.truncate(3),
+        s.mul_poly(LaurentPoly({0: 3})),
         s.inverse(), LaurentSeries({0: -1, 1: 3, 4: 2}, 10).inverse(),
         divide_exact(p * one_minus(3), one_minus(3)),
         geometric_power(2, 3, 12),
