@@ -15,6 +15,7 @@ import time
 from fractions import Fraction
 
 from .engine import (
+    METHODS,
     MethodInapplicable,
     StrictSemistable,
     TruncationTooSmall,
@@ -73,7 +74,6 @@ def _require_truncation(value, where):
 
 _TOP_KEYS = {"genus", "degree", "points", "options"}
 _OPTION_KEYS = {"method", "truncation", "force"}
-_METHOD_TAGS = ("closed", "qclosed", "recursion", "rank2")
 
 
 def parse_document(obj):
@@ -116,7 +116,7 @@ def parse_document(obj):
     if unknown:
         raise DocumentError(f"options: unknown fields {sorted(unknown)}")
     method = options.get("method", "closed")
-    if method not in _METHOD_TAGS:
+    if method not in METHODS:
         raise DocumentError(f"options.method: unknown method {method!r}")
     truncation = options.get("truncation")
     if truncation is not None:
@@ -437,7 +437,7 @@ def build_parser():
 
     p = sub.add_parser("compute", help="compute the Betti polynomial of one instance")
     p.add_argument("input", help="instance document (JSON)")
-    p.add_argument("--method", choices=_METHOD_TAGS, default=None)
+    p.add_argument("--method", choices=METHODS, default=None)
     p.add_argument("--format", choices=("json", "csv", "latex", "text"), default="json")
     p.add_argument("--truncation", type=int, default=None)
     p.add_argument("--force", action="store_true")

@@ -30,10 +30,6 @@ class NotPolynomial(ArithmeticError):
     """A count that should have produced a Betti polynomial did not."""
 
 
-def _q(e, c=1):
-    return LaurentPoly({e: c})
-
-
 def q_minus_one_power(m):
     """(q^m - 1) as a polynomial in q."""
     return LaurentPoly({m: 1, 0: -1})
@@ -259,6 +255,6 @@ def poincare_from_count(expr, dim, genus):
     if poly.min_exp() < 0 or poly.max_exp() > 2 * dim:
         raise NotPolynomial("exponents escape [0, 2 dim]")
     for e, c in poly.items():
-        if c.denominator != 1 or c < 0:
+        if c < 0:
             raise NotPolynomial(f"coefficient {c} at t^{e} is not a Betti number")
     return poly

@@ -15,6 +15,10 @@ Three independent routes to the same polynomial:
   the block ranks: one series product per class, times an exact polynomial
   of the class's shifts.
 
+All three end with the same shift-free bridge prefactor
+(1 - t)^(2g) (1 - t^2)^(1 - 2g), after a shift of their own; the recursion
+multiplies by the bridge's series expansion, so no series is inverted.
+
 ``siegel_check`` verifies the underlying mass identity order by order: it
 runs the recursion's own step on the closed route's stable counts.
 """
@@ -27,7 +31,7 @@ from fractions import Fraction
 from . import rank2 as _rank2
 from .counting import block_factor as _raw_block_factor
 from .laurent import LaurentPoly, LaurentSeries, NonDivisible, TruncationTooSmall
-from .laurent import one_minus, one_plus
+from .laurent import one_minus
 from .parabolic import (
     canonical_form,
     coinv_count,
@@ -81,10 +85,15 @@ def _block_factor(block, genus):
     return hit
 
 
+def _count_shift(data, genus):
+    """n^2(g - 1) + 2 flag_dim: the shift between the count side and the
+    Betti side of one datum."""
+    return data.rank**2 * (genus - 1) + 2 * flag_dim(data)
+
+
 def _block_q(block, genus):
     """Count generating function of the full family over one block."""
-    n = block.rank
-    shift = -n * n * (genus - 1) - 2 * flag_dim(block)
+    shift = -_count_shift(block, genus)
     return FactoredRatFunc.monomial(shift) * _block_factor(block, genus)
 
 
@@ -98,11 +107,10 @@ def _chain_sign_factors(cols):
     return sign, factors
 
 
-def _bridge(data, genus):
-    """Prefactor converting the count function into the Betti polynomial."""
-    n = data.rank
-    c = 2 * flag_dim(data) + n * n * (genus - 1)
-    return FactoredRatFunc(c, one_minus(1) ** (2 * genus), {2: 1 - 2 * genus})
+def _bridge(genus):
+    """Shift-free prefactor (1 - t)^(2g) (1 - t^2)^(1 - 2g) that turns a
+    count function into the Betti polynomial; each route adds its shift."""
+    return FactoredRatFunc(0, one_minus(1) ** (2 * genus), {2: 1 - 2 * genus})
 
 
 def _certify(func, instance, method, ss_ok):
@@ -148,8 +156,8 @@ def poincare_closed(instance, force=False):
             + floor_sum_genus(part, lam, g)
         )
 
-    pre = FactoredRatFunc(0, one_minus(1) ** (2 * g), {2: 1 - 2 * g})
-    return _certify(_block_sum(data, g, exponent) * pre, instance, "closed", ss_ok)
+    func = _block_sum(data, g, exponent) * _bridge(g)
+    return _certify(func, instance, "closed", ss_ok)
 
 
 def q_ratfunc(data, d, genus):
@@ -164,7 +172,7 @@ def q_ratfunc(data, d, genus):
 
     def exponent(part, blocks):
         return 2 * (linear_offset(part, d) + floor_sum(part, lam)) - sum(
-            b.rank**2 * (genus - 1) + 2 * flag_dim(b) for b in blocks
+            _count_shift(b, genus) for b in blocks
         )
 
     return _block_sum(data, genus, exponent)
@@ -174,8 +182,8 @@ def poincare_qclosed(instance, force=False):
     """Betti polynomial via the count route and the bridge prefactor."""
     data, d, g = instance.data, instance.degree, instance.genus
     ss_ok = _check_stability(instance, force)
-    func = _bridge(data, g) * q_ratfunc(data, d, g)
-    return _certify(func, instance, "qclosed", ss_ok)
+    pre = FactoredRatFunc.monomial(_count_shift(data, g)) * _bridge(g)
+    return _certify(pre * q_ratfunc(data, d, g), instance, "qclosed", ss_ok)
 
 
 def _integer_weights(cols, alphas):
@@ -311,9 +319,7 @@ class _Recursor:
         sigma = inv_count(part)
         alphas = [weight_sum(b) for b in blocks]
         min_pairing = sum(map(sum, _integer_weights(cols, alphas)[2]))
-        qhat_orders = [
-            -b.rank**2 * (g - 1) - 2 * flag_dim(b) for b in blocks
-        ]
+        qhat_orders = [-_count_shift(b, g) for b in blocks]
         per_block = []
         certs = []
         for k, b in enumerate(blocks):
@@ -380,13 +386,9 @@ def recursion_poincare(instance, truncation=None, force=False):
         raise TruncationTooSmall(
             f"truncation {n_master} cannot reach degree {2 * dim}"
         )
-    c = 2 * flag_dim(data) + data.rank**2 * (g - 1)
-    rec = _Recursor(g)
-    q = rec.q_series(data, d, n_master - c)
-    p = q.shift(c).mul_poly(one_minus(2))
-    if g:
-        inv = LaurentSeries.from_poly(one_plus(1) ** (2 * g), n_master).inverse()
-        p = p * inv
+    c = _count_shift(data, g)
+    q = _Recursor(g).q_series(data, d, n_master - c)
+    p = q.shift(c) * _bridge(g).expand(n_master)
     bad = sorted(e for e in p.coeffs if e < 0)
     if bad:
         raise NonPolynomialResult(

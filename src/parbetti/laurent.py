@@ -1,20 +1,17 @@
 """Exact Laurent polynomials and truncated Laurent series in one variable t.
 
 A LaurentPoly is a finite sum of c*t^e with integer e (negative allowed).
-A stored coefficient is never zero.  It is an int when its value is an
-integer and a fractions.Fraction with denominator > 1 otherwise, so the
-integral polynomials and series of every route run on Python ints.  A
-Fraction appears only where a value is not an integer: a negative power of
-a non-unit monomial, the inverse of a series whose lead is not +-1, a
-division by a non-unit leading coefficient, or input that holds one.
+A stored coefficient is a nonzero Python int: every numerator and series
+of the four routes is integral, so this is the only coefficient type.
+Values are a different matter: ``LaurentPoly.evaluate`` takes an int or
+fractions.Fraction point and returns a Fraction.
 
 A LaurentSeries carries its coefficients only up to a truncation exponent
 and tracks how far it is exact, so products of truncated series never
 silently pretend to more precision than they have.
 
 Every product and sum of polynomials and series runs through the two
-coefficient-dict kernels ``_product`` and ``_sum``.  They and the
-constructors' ``_coerce`` keep the normal form, so no operator has to.
+coefficient-dict kernels ``_product`` and ``_sum``.
 """
 
 from __future__ import annotations
@@ -39,30 +36,19 @@ class TruncationTooSmall(ValueError):
 
 
 def _coerce(c):
-    """The coefficient c in normal form: an int when it is integral."""
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
+    """The coefficient c as an int; an integral Fraction is accepted."""
     if isinstance(c, int):
         return int(c)
-    raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
-
-
-def _holds_fraction(d):
-    return Fraction in map(type, d.values())
-
-
-def _normal(d):
-    """d without zeros and with every integral Fraction stored as an int."""
-    return {e: c.numerator if c.denominator == 1 else c for e, c in d.items() if c}
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return c.numerator
+    raise TypeError(f"coefficient must be an integer, got {c!r}")
 
 
 def _product(a, b, top=None):
     """Sparse product of two coefficient dicts, dropping exponents above top.
 
     With a top, the larger operand is sorted so that each row stops at the
-    first exponent past it.  Zeros are dropped once, at the end.  Products of
-    ints are ints; only when an operand holds a Fraction can a result
-    coefficient be an integral Fraction, so only then is it normalised.
+    first exponent past it.  Zeros are dropped once, at the end.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -82,17 +68,11 @@ def _product(a, b, top=None):
                 break
             e = ea + eb
             d[e] = get(e, 0) + ca * cb
-    if _holds_fraction(a) or _holds_fraction(b):
-        return _normal(d)
     return {e: c for e, c in d.items() if c}
 
 
 def _sum(a, b, top=None):
-    """Sum of two coefficient dicts, dropping exponents above top.
-
-    A non-integral Fraction plus an int is never integral, so a sum needs
-    normalising only when b holds a Fraction.
-    """
+    """Sum of two coefficient dicts, dropping exponents above top."""
     d = dict(a) if top is None else {e: c for e, c in a.items() if e <= top}
     for e, c in b.items():
         if top is not None and e > top:
@@ -102,11 +82,11 @@ def _sum(a, b, top=None):
             d[e] = s
         else:
             del d[e]  # c is nonzero, so only a stored term cancels it
-    return _normal(d) if _holds_fraction(b) else d
+    return d
 
 
 def _poly(d):
-    """Wrap a dict whose coefficients are already nonzero and in normal form."""
+    """Wrap a dict whose coefficients are already nonzero ints."""
     out = LaurentPoly.__new__(LaurentPoly)
     object.__setattr__(out, "coeffs", d)
     return out
@@ -153,9 +133,6 @@ class LaurentPoly:
 
     def is_zero(self):
         return not self.coeffs
-
-    def is_monomial(self):
-        return len(self.coeffs) == 1
 
     def min_exp(self):
         if not self.coeffs:
@@ -213,10 +190,7 @@ class LaurentPoly:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            if not self.is_monomial():
-                raise ValueError("negative power of a non-monomial is unsupported")
-            ((e, c),) = self.coeffs.items()
-            return LaurentPoly({e * n: Fraction(1, 1) / c ** (-n)})
+            raise ValueError("negative powers are unsupported")
         result = LaurentPoly.one()
         base = self
         while n:
@@ -227,7 +201,10 @@ class LaurentPoly:
         return result
 
     def evaluate(self, x):
-        x = Fraction(_coerce(x))
+        """Exact value at t = x for an int or Fraction x, as a Fraction."""
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"evaluation point must be int or Fraction, got {x!r}")
+        x = Fraction(x)
         if x == 0 and self.coeffs and self.min_exp() < 0:
             raise ZeroDivisionError("negative exponent at t = 0")
         total = Fraction(0)
@@ -256,8 +233,9 @@ def one_plus(k):
 def divide_exact(num, den):
     """Exact quotient num / den of Laurent polynomials.
 
-    Raises NonDivisible if the division leaves a remainder.  Division is run
-    top down, so the detected remainder is reported by its highest exponent.
+    Raises NonDivisible if the division leaves a remainder or a quotient
+    coefficient that is not an integer.  Division is run top down, so the
+    failure is reported by its highest exponent.
     """
     if den.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
@@ -268,13 +246,14 @@ def divide_exact(num, den):
     dvs = {e - ds: c for e, c in den.coeffs.items()}
     dtop = max(dvs)
     dlead = dvs[dtop]
-    inv = dlead if dlead in (1, -1) else Fraction(1) / dlead  # 1/dlead, an int for a unit
     quot = {}
     while rem:
         rtop = max(rem)
         if rtop < dtop:
             raise NonDivisible(f"remainder of degree {rtop + ns}")
-        c = rem[rtop] * inv
+        c, r = divmod(rem[rtop], dlead)
+        if r:
+            raise NonDivisible(f"non-integral quotient at degree {rtop + ns}")
         e = rtop - dtop
         quot[e] = c
         for de, dc in dvs.items():
@@ -284,8 +263,7 @@ def divide_exact(num, den):
                 rem[k] = s
             elif k in rem:
                 del rem[k]
-    # the validating constructor stores integral Fractions as ints
-    return LaurentPoly({e + ns - ds: c for e, c in quot.items()})
+    return _poly({e + ns - ds: c for e, c in quot.items()})
 
 
 class LaurentSeries:
@@ -324,10 +302,6 @@ class LaurentSeries:
     def is_zero(self):
         """True if no nonzero coefficient is known; says nothing beyond trunc."""
         return not self.coeffs
-
-    def order(self):
-        """Exponent of the first known nonzero coefficient, or None if all zero."""
-        return min(self.coeffs) if self.coeffs else None
 
     def order_bound(self):
         """Certified lower bound for the true order, valid even for a zero prefix."""
@@ -383,31 +357,6 @@ class LaurentSeries:
             return LaurentSeries.zero(self.trunc)
         trunc = self.trunc + poly.min_exp()
         return _series(_product(self.coeffs, poly.coeffs, trunc), trunc)
-
-    def inverse(self):
-        """Multiplicative inverse; needs a known leading coefficient.
-
-        For a series of true order m exact through N, the inverse is exact
-        through N - 2m.
-        """
-        m = self.order()
-        if m is None:
-            raise ZeroDivisionError("cannot invert a series with no known nonzero term")
-        lead = self.coeffs[m]
-        inv = lead if lead in (1, -1) else Fraction(1) / lead  # 1/lead, an int for a unit
-        trunc = self.trunc - 2 * m
-        a = {e - m: c for e, c in self.coeffs.items()}
-        n_terms = trunc + m  # compute b_0 .. b_{n_terms} of the order-0 inverse
-        b = [inv]
-        for j in range(1, n_terms + 1):
-            s = 0
-            for i in range(1, j + 1):
-                ai = a.get(i)
-                if ai:
-                    s += ai * b[j - i]
-            b.append(-s * inv)
-        # the validating constructor stores integral Fractions as ints
-        return LaurentSeries({j - m: c for j, c in enumerate(b) if c}, trunc)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):

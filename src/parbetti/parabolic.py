@@ -8,9 +8,9 @@ form and the two presentations are interchangeable.
 
 Outside input is validated once, by the public constructors it enters
 through (FlagPoint, QPData, make_data).  Everything derived here from
-already-valid data (blocks, prefixes, tails, sub-data, canonical forms) is
-built by ``_derived`` without re-checking, and compares and hashes equal to
-the same rows built through ``make_data``.
+already-valid data (blocks, sub-data, canonical forms) is built by
+``_derived`` without re-checking, and compares and hashes equal to the same
+rows built through ``make_data``.
 
 A Partition splits the data into r ordered blocks: at every point a matrix
 with the data's multiplicities as row sums and a common column-sum vector
@@ -201,8 +201,8 @@ class Partition:
     tables[p][i][k] is how much of row i at point p lands in block k; row
     sums reproduce the data multiplicities and column sums are the block
     ranks, the same at every point.  The library builds one only in
-    ``partitions`` and ``head``/``tail``, from tables valid by
-    construction, so it is not checked.
+    ``partitions``, from tables valid by construction, so it is not
+    checked.
     """
 
     data: QPData
@@ -222,27 +222,6 @@ class Partition:
 
     def blocks(self):
         return [self.block(k) for k in range(self.length)]
-
-    def prefix_data(self, j):
-        """Union of the first j blocks as data."""
-        return _derived(
-            (tuple(sum(row[:j]) for row in tbl), p.weights)
-            for p, tbl in zip(self.data.points, self.tables)
-        )
-
-    def head(self, j):
-        """Induced partition of the first j blocks, 1 <= j <= r."""
-        tables = tuple(tuple(row[:j] for row in tbl) for tbl in self.tables)
-        return Partition(self.prefix_data(j), self.cols[:j], tables)
-
-    def tail(self, j):
-        """Induced partition of the blocks after the first j."""
-        data = _derived(
-            (tuple(sum(row[j:]) for row in tbl), p.weights)
-            for p, tbl in zip(self.data.points, self.tables)
-        )
-        tables = tuple(tuple(row[j:] for row in tbl) for tbl in self.tables)
-        return Partition(data, self.cols[j:], tables)
 
 
 def _compositions(n, r):
@@ -337,14 +316,20 @@ def linear_offset(part, d):
 
 
 def floor_sum(part, lam):
-    """Sum of floored prefix slope gaps weighted by adjacent block ranks."""
+    """Sum of floored prefix slope gaps weighted by adjacent block ranks.
+
+    The weight of the first k + 1 blocks is kept as a running sum of each
+    block's weight, read from the tables.
+    """
     cols = part.cols
+    points = [(tbl, p.weights) for p, tbl in zip(part.data.points, part.tables)]
     total = 0
     nk = 0
+    a = 0
     for k in range(part.length - 1):
         nk += cols[k]
-        a = weight_sum(part.prefix_data(k + 1))
-        total += (cols[k] + cols[k + 1]) * floor(Fraction(nk) * lam - a)
+        a += sum(row[k] * w for tbl, ws in points for row, w in zip(tbl, ws) if row[k])
+        total += (cols[k] + cols[k + 1]) * floor(nk * lam - a)
     return total
 
 

@@ -2,27 +2,23 @@
 
 The only denominators that ever occur in this project are products of
 cyclotomic-style factors (1 - t^k), so the factor dict maps k >= 1 to an
-integer exponent e_k (negative exponents are denominator factors).  Keeping
-the factorization explicit makes exact series expansion and exact
-polynomial certification cheap.
+integer exponent e_k (negative exponents are denominator factors), and the
+numerator p has integer coefficients.  Keeping the factorization explicit
+makes exact series expansion and exact polynomial certification cheap.
+The three general routes share one such function, the engine's bridge
+prefactor: the closed routes multiply by it and certify, the recursion
+multiplies by its expansion, so no series is ever inverted.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .laurent import (
     LaurentPoly,
     LaurentSeries,
-    NonDivisible,
     divide_exact,
     geometric_power,
     one_minus,
 )
-
-
-class PoleAtPoint(ArithmeticError):
-    """Evaluation requested at a genuine pole."""
 
 
 class FactoredRatFunc:
@@ -93,14 +89,7 @@ class FactoredRatFunc:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            if not self.numer.is_monomial():
-                raise ValueError("negative power with non-monomial numerator is unsupported")
-            ((e, c),) = self.numer.coeffs.items()
-            return FactoredRatFunc(
-                (self.shift + e) * n,
-                LaurentPoly({0: Fraction(1, 1) / c ** (-n)}),
-                {k: v * n for k, v in self.factors.items()},
-            )
+            raise ValueError("negative powers are unsupported")
         return FactoredRatFunc(
             self.shift * n, self.numer**n, {k: v * n for k, v in self.factors.items()}
         )
@@ -169,60 +158,9 @@ class FactoredRatFunc:
                 p = divide_exact(p, one_minus(k))
         return p.shift(self.shift)
 
-    def evaluate(self, x):
-        """Exact value at t = x, removing removable singularities.
-
-        Raises PoleAtPoint when the function has a genuine pole at x.
-        """
-        if not isinstance(x, (int, Fraction)):
-            raise TypeError("evaluation point must be exact (int or Fraction)")
-        x = Fraction(x)
-        if self.is_zero():
-            return Fraction(0)
-        if x == 0:
-            if self.shift < 0:
-                raise PoleAtPoint("pole at t = 0")
-            return Fraction(self.numer.coeff(0)) if self.shift == 0 else Fraction(0)
-        # split each piece as (t - x)^m * unit and combine orders exactly
-        order, unit = _vanishing_split(self.numer, x)
-        for k, e in self.factors.items():
-            if x**k == 1:
-                order += e
-                # (1 - t^k) = (t - x) * h with h(x) = -k * x^(k-1)
-                unit *= (Fraction(-k) * x ** (k - 1)) ** e
-            else:
-                unit *= (1 - x**k) ** e
-        if order < 0:
-            raise PoleAtPoint(f"pole of order {-order} at t = {x}")
-        if order > 0:
-            return Fraction(0)
-        return x**self.shift * unit
-
     def __repr__(self):
         fac = "".join(
             f"*(1-t^{k})^{e}" for k, e in sorted(self.factors.items())
         )
         return f"FactoredRatFunc(t^{self.shift} * ({self.numer!r}){fac})"
-
-
-def _vanishing_split(poly, x):
-    """Return (m, value) with poly = (t - x)^m * h and h(x) = value != 0."""
-    m = poly.min_exp()
-    work = {e - m: c for e, c in poly.coeffs.items()}  # ordinary polynomial now
-    order = 0
-    while True:
-        deg = max(work)
-        # synthetic division by (t - x) evaluates and divides in one pass
-        quot = {}
-        acc = Fraction(0)
-        for e in range(deg, -1, -1):
-            acc = acc * x + work.get(e, Fraction(0))
-            if e > 0:
-                quot[e - 1] = acc
-        if acc:
-            return order, acc * x**m
-        order += 1
-        work = {e: c for e, c in quot.items() if c}
-        if not work:
-            raise AssertionError("nonzero polynomial fully divided by (t - x)")
 

@@ -42,12 +42,7 @@ def result_from_poly(poly, dim, method, ss_eq_stable, enforce=True):
         raise NonPolynomialResult(
             f"exponents [{poly.min_exp()}, {poly.max_exp()}] escape [0, {2 * dim}]"
         )
-    betti = []
-    for i in range(2 * dim + 1):
-        c = poly.coeff(i)
-        if c.denominator != 1:
-            raise NonPolynomialResult(f"non-integer coefficient {c} at t^{i}")
-        betti.append(int(c))
+    betti = [poly.coeff(i) for i in range(2 * dim + 1)]
     if enforce:
         if betti[0] != 1:
             raise NonPolynomialResult(f"b_0 = {betti[0]} instead of 1")

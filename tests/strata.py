@@ -1,11 +1,36 @@
 """Stratum identities of the filtration recursion, used only by the tests.
 
 No route calls these: they restate the exponents of single strata and of
-sub-datum splits so the tests can check the combinatorial identities that
-the routes' closed sums rely on.
+sub-datum splits, and cut a partition into its first blocks and the rest,
+so the tests can check the combinatorial identities that the routes' closed
+sums rely on.
 """
 
-from parbetti.parabolic import FlagPoint, QPData, _derived, inv_count
+from parbetti.parabolic import FlagPoint, Partition, QPData, _derived, inv_count
+
+
+def prefix_data(part, j):
+    """Union of the first j blocks of a partition as data."""
+    return _derived(
+        (tuple(sum(row[:j]) for row in tbl), p.weights)
+        for p, tbl in zip(part.data.points, part.tables)
+    )
+
+
+def head(part, j):
+    """Induced partition of the first j blocks, 1 <= j <= r."""
+    tables = tuple(tuple(row[:j] for row in tbl) for tbl in part.tables)
+    return Partition(prefix_data(part, j), part.cols[:j], tables)
+
+
+def tail(part, j):
+    """Induced partition of the blocks after the first j."""
+    data = _derived(
+        (tuple(sum(row[j:]) for row in tbl), p.weights)
+        for p, tbl in zip(part.data.points, part.tables)
+    )
+    tables = tuple(tuple(row[j:] for row in tbl) for tbl in part.tables)
+    return Partition(data, part.cols[j:], tables)
 
 
 def reembed(data, ambient):

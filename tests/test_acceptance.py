@@ -66,7 +66,15 @@ from oracles import (
     brute_partitions,
     brute_subdata,
 )
-from strata import hom_euler, split_inversions, stratum_exponent, term_exponent
+from strata import (
+    head,
+    hom_euler,
+    prefix_data,
+    split_inversions,
+    stratum_exponent,
+    tail,
+    term_exponent,
+)
 
 
 def _run_cli(argv):
@@ -352,26 +360,26 @@ def test_07_identity_sweep_and_engine_properties():
                 continue
             for k in range(1, r):
                 assert inv_count(part) == (
-                    inv_count(part.head(k))
-                    + inv_count(part.tail(k))
-                    + split_inversions(data, part.prefix_data(k))
+                    inv_count(head(part, k))
+                    + inv_count(tail(part, k))
+                    + split_inversions(data, prefix_data(part, k))
                 )
             dv = degs_pool[0][:r]
             d = sum(dv)
-            sub = part.prefix_data(1)
+            sub = prefix_data(part, 1)
             a1 = weight_sum(sub)
             lam1 = Fraction(dv[0] + a1, part.cols[0])
             assert term_exponent(part, dv) - term_exponent(
-                part.tail(1), dv[1:]
+                tail(part, 1), dv[1:]
             ) == part.cols[0] * (n * lam1 - d) - n * a1 - split_inversions(
                 data, sub
             )
             for lam in lams:
                 for k in range(1, r):
                     front = sum(part.cols[:k])
-                    dk = degree_at_slope(part.prefix_data(k), lam)
-                    lhs = linear_offset(part.head(k), dk) + linear_offset(
-                        part.tail(k), d - dk
+                    dk = degree_at_slope(prefix_data(part, k), lam)
+                    lhs = linear_offset(head(part, k), dk) + linear_offset(
+                        tail(part, k), d - dk
                     )
                     rhs = (
                         linear_offset(part, d)
@@ -379,7 +387,7 @@ def test_07_identity_sweep_and_engine_properties():
                         * dk
                         - part.cols[k - 1]
                         - part.cols[k]
-                        + split_inversions(data, part.prefix_data(k))
+                        + split_inversions(data, prefix_data(part, k))
                         + front * d
                     )
                     assert lhs == rhs

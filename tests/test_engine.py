@@ -140,6 +140,16 @@ def test_qclosed_matches_closed_rank4():
     assert poincare_qclosed(inst).poly == poincare_closed(inst).poly
 
 
+def test_bridge_prefactor_expansion():
+    """(1 - t)^(2g) (1 - t^2)^(1 - 2g) = (1 - t^2) / (1 + t)^(2g)."""
+    one_minus_t2 = LaurentPoly({0: 1, 2: -1})
+    assert engine._bridge(0).expand(40) == LaurentSeries.from_poly(one_minus_t2, 40)
+    for g in range(1, 9):
+        inverse = {j: (-1) ** j * math.comb(2 * g - 1 + j, j) for j in range(41)}
+        expected = LaurentSeries(inverse, 40).mul_poly(one_minus_t2)
+        assert engine._bridge(g).expand(40) == expected
+
+
 def test_routes_keep_integer_coefficients(monkeypatch):
     """Every numerator and series on the general routes is integral, so none
     of them may be stored as a Fraction."""

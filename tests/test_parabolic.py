@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import floor
 
 import pytest
 
@@ -28,10 +29,13 @@ from parbetti.parabolic import (
 from oracles import brute_partitions, brute_subdata
 from strata import (
     complement,
+    head,
     hom_euler,
+    prefix_data,
     reembed,
     split_inversions,
     stratum_exponent,
+    tail,
     term_exponent,
 )
 
@@ -153,12 +157,12 @@ def test_partition_structure():
         assert sum(part.cols) == 3
         for k in range(r):
             assert part.block(k).rank == part.cols[k]
-        assert part.head(r).tables == part.tables
-        assert part.prefix_data(r) == data
+        assert head(part, r).tables == part.tables
+        assert prefix_data(part, r) == data
         if r > 1:
-            head, tail = part.head(1), part.tail(1)
-            assert head.data.rank + tail.data.rank == 3
-            assert tail.cols == part.cols[1:]
+            first, rest = head(part, 1), tail(part, 1)
+            assert first.data.rank + rest.data.rank == 3
+            assert rest.cols == part.cols[1:]
 
 
 def _rebuilt(data):
@@ -174,9 +178,9 @@ def test_derived_data_equals_validated_rows():
     for part in partitions(data):
         r = part.length
         derived += part.blocks()
-        derived += [part.prefix_data(j) for j in range(1, r + 1)]
-        derived += [part.head(j).data for j in range(1, r + 1)]
-        derived += [part.tail(j).data for j in range(r)]
+        derived += [prefix_data(part, j) for j in range(1, r + 1)]
+        derived += [head(part, j).data for j in range(1, r + 1)]
+        derived += [tail(part, j).data for j in range(r)]
     derived += [canonical_form(d) for d in derived]
     assert len(derived) > 100
     for d in derived:
@@ -253,6 +257,24 @@ def test_floor_sums_pinned():
     # prefix weight 0, lambda = 1/2
     assert floor_sum(part, F(1, 2)) == 0
     assert floor_sum_genus(part, F(1, 2), 2) == 3
+
+
+def test_floor_sum_matches_prefix_weights():
+    # the running block-weight sum against the weight of each prefix datum
+    data = make_data([
+        ([1, 2, 0, 1], ["0", "1/7", "2/7", "4/9"]),
+        ([2, 1, 1], ["1/11", "5/17", "7/19"]),
+    ])
+    parts = partitions(data, min_length=2)
+    assert len(parts) > 50
+    for lam in (F(-3, 4), F(0), F(5, 12), F(7, 3)):
+        for part in parts:
+            expected = 0
+            for k in range(part.length - 1):
+                nk = sum(part.cols[: k + 1])
+                gap = nk * lam - weight_sum(prefix_data(part, k + 1))
+                expected += (part.cols[k] + part.cols[k + 1]) * floor(gap)
+            assert floor_sum(part, lam) == expected
 
 
 def test_stability_gap():

@@ -22,7 +22,15 @@ from parbetti.parabolic import (
     partitions,
 )
 
-from strata import hom_euler, split_inversions, stratum_exponent, term_exponent
+from strata import (
+    head,
+    hom_euler,
+    prefix_data,
+    split_inversions,
+    stratum_exponent,
+    tail,
+    term_exponent,
+)
 
 WEIGHT_POOL = sorted({Fraction(a, b) for b in range(1, 13) for a in range(b)})
 
@@ -69,9 +77,9 @@ def test_inversion_count_splits_at_every_cut(data, seed):
         for k in range(1, part.length):
             lhs = inv_count(part)
             rhs = (
-                inv_count(part.head(k))
-                + inv_count(part.tail(k))
-                + split_inversions(data, part.prefix_data(k))
+                inv_count(head(part, k))
+                + inv_count(tail(part, k))
+                + split_inversions(data, prefix_data(part, k))
             )
             assert lhs == rhs
 
@@ -87,10 +95,10 @@ def test_term_exponent_peels_first_block(data, degs, d_extra, seed):
         d = sum(dv)
         n = data.rank
         n1 = part.cols[0]
-        sub = part.prefix_data(1)
+        sub = prefix_data(part, 1)
         a1 = weight_sum(sub)
         lam = Fraction(dv[0] + a1, n1)
-        lhs = term_exponent(part, dv) - term_exponent(part.tail(1), dv[1:])
+        lhs = term_exponent(part, dv) - term_exponent(tail(part, 1), dv[1:])
         rhs = n1 * (n * lam - d) - n * a1 - split_inversions(data, sub)
         assert lhs == rhs
 
@@ -106,16 +114,16 @@ def test_linear_offset_chain_rule(data, d, lam, seed):
         r = part.length
         for k in range(1, r):
             nk_front = sum(part.cols[:k])
-            dk = degree_at_slope(part.prefix_data(k), lam)
-            lhs = linear_offset(part.head(k), dk) + linear_offset(
-                part.tail(k), d - dk
+            dk = degree_at_slope(prefix_data(part, k), lam)
+            lhs = linear_offset(head(part, k), dk) + linear_offset(
+                tail(part, k), d - dk
             )
             rhs = (
                 linear_offset(part, d)
                 - (2 * nk_front - n - part.cols[k - 1] + part.cols[-1]) * dk
                 - part.cols[k - 1]
                 - part.cols[k]
-                + split_inversions(data, part.prefix_data(k))
+                + split_inversions(data, prefix_data(part, k))
                 + nk_front * d
             )
             assert lhs == rhs

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from parbetti.laurent import LaurentPoly, NonDivisible, one_minus, one_plus
-from parbetti.ratfunc import FactoredRatFunc, PoleAtPoint
+from parbetti.ratfunc import FactoredRatFunc
 
 F = Fraction
 FRF = FactoredRatFunc
@@ -23,8 +23,9 @@ def test_mul_and_pow():
     g = f * f
     assert g.shift == 2 and g.factors == {2: -2}
     assert g == f**2
-    h = FRF.monomial(3, 2) ** -1
-    assert h.shift == -3 and h.numer.coeff(0) == F(1, 2)
+    for base in (FRF.monomial(3, 2), f, FRF.one()):
+        with pytest.raises(ValueError):
+            base ** -1
 
 
 def test_equality_cross_multiplies():
@@ -68,27 +69,3 @@ def test_to_laurent_poly():
     with pytest.raises(NonDivisible):
         FRF(0, one_plus(1), {2: -1}).to_laurent_poly()
 
-
-def test_evaluate():
-    f = FRF(0, LaurentPoly.one(), {4: 1, 2: -1})  # removable at t = 1
-    assert f.evaluate(1) == 2
-    with pytest.raises(PoleAtPoint):
-        FRF(0, LaurentPoly.one(), {1: -1}).evaluate(1)
-    with pytest.raises(PoleAtPoint):
-        # (1 - t)/(1 - t^2) has a genuine pole at t = -1
-        FRF(0, one_minus(1), {2: -1}).evaluate(-1)
-    # (1 - t^2)^2/(1 - t^4) vanishes at t = -1 despite the denominator
-    g = FRF(0, one_minus(2) ** 2, {4: -1})
-    assert g.evaluate(-1) == 0
-    assert g.evaluate(F(1, 2)) == (F(3, 4)) ** 2 / F(15, 16)
-    with pytest.raises(PoleAtPoint):
-        FRF.monomial(-1).evaluate(0)
-    assert FRF.monomial(2).evaluate(0) == 0
-    with pytest.raises(TypeError):
-        f.evaluate(0.5)
-
-
-def test_evaluate_at_one_euler_style():
-    # (1 - t^6)(1 - t^4)/((1 - t^2)(1 - t^2)) at t = 1 is (6*4)/(2*2)
-    f = FRF(0, LaurentPoly.one(), {6: 1, 4: 1, 2: -2})
-    assert f.evaluate(1) == 6

@@ -19,3 +19,36 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+
+def _fraction_uses(tree, allowed):
+    """Lines naming Fraction outside the functions named in allowed, given
+    as ``func`` for module functions and ``Class.method`` for methods."""
+    scopes = [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+    scopes += [
+        (f"{c.name}.{f.name}", f)
+        for c in tree.body
+        if isinstance(c, ast.ClassDef)
+        for f in c.body
+        if isinstance(f, ast.FunctionDef)
+    ]
+    skip = {id(n) for name, f in scopes if name in allowed for n in ast.walk(f)}
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "Fraction" and id(node) not in skip
+    ]
+
+
+def test_coefficients_are_ints():
+    """One coefficient type: ratfunc never meets a Fraction, and laurent
+    names one only to accept an integral one and to evaluate at a point."""
+    ratfunc = ast.parse((SRC / "ratfunc.py").read_text(encoding="utf-8"))
+    modules = [a.name for n in ast.walk(ratfunc) if isinstance(n, ast.Import) for a in n.names]
+    modules += [n.module for n in ast.walk(ratfunc) if isinstance(n, ast.ImportFrom)]
+    assert "fractions" not in modules
+    assert _fraction_uses(ratfunc, set()) == []
+
+    laurent = ast.parse((SRC / "laurent.py").read_text(encoding="utf-8"))
+    assert _fraction_uses(laurent, {"_coerce", "LaurentPoly.evaluate"}) == []
