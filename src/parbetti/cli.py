@@ -168,7 +168,6 @@ def _poly_str(poly):
         return "0"
     parts = []
     for e, c in sorted(poly.items()):
-        c = int(c)
         if e == 0:
             parts.append(str(c))
         else:
@@ -181,7 +180,7 @@ def result_document(res, timing=None):
     return {
         "dim": res.dim,
         "betti": list(res.betti),
-        "polynomial": [[e, int(c)] for e, c in sorted(res.poly.items())],
+        "polynomial": [[e, c] for e, c in sorted(res.poly.items())],
         "empty": res.empty,
         "ss_eq_stable": res.ss_eq_stable,
         "method": res.method,

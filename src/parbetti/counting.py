@@ -11,6 +11,10 @@ The substitution sends q to t^-2 and each Frobenius eigenvalue to -t^-1,
 so:  q^a -> t^-2a,  (q-1) -> t^-2 (1-t^2),
 Z(q^-j) -> (1+t^{2j-1})^{2g} / ((1-t^{2j-2})(1-t^{2j})) for j >= 2,
 J -> t^-2g (1+t)^{2g},  p(q) -> p(t^-2).
+
+The closed routes use the substituted per-block factor in two parts: its
+genus-free factor exponents (``block_denominator``) and its numerator
+prod_{i<=n} (1+t^{2i-1})^{2g}, which depends only on the block's rank n.
 """
 
 from __future__ import annotations
@@ -221,11 +225,9 @@ def mass_series_jac(n, genus):
     return FactoredRatFunc(shift, _odd_plus_product(n, genus, start=1), _mass_factors(n))
 
 
-def block_factor(data, genus):
-    """Per-block factor of the closed formulas: flag part times mass part.
-
-    Shift-free by construction; for rank 1 it reduces to (1+t)^{2g}/(1-t^2).
-    """
+def block_denominator(data):
+    """Factor exponents {k: e_k} of the block factor, flag part plus mass
+    part; they do not depend on the genus."""
     n = data.rank
     factors = _mass_factors(n)
     for i in range(1, n + 1):
@@ -234,7 +236,17 @@ def block_factor(data, genus):
         for m in pt.mults:
             for l in range(1, m + 1):
                 factors[2 * l] = factors.get(2 * l, 0) - 1
-    return FactoredRatFunc(0, _odd_plus_product(n, genus, start=1), factors)
+    return factors
+
+
+def block_factor(data, genus):
+    """Per-block factor of the closed formulas: flag part times mass part.
+
+    Shift-free by construction; for rank 1 it reduces to (1+t)^{2g}/(1-t^2).
+    Its numerator prod_{i<=n} (1+t^{2i-1})^{2g} depends only on the rank n,
+    its factors only on the flag data (``block_denominator``).
+    """
+    return FactoredRatFunc(0, _odd_plus_product(data.rank, genus), block_denominator(data))
 
 
 def poincare_from_count(expr, dim, genus):

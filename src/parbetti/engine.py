@@ -4,7 +4,10 @@ Three independent routes to the same polynomial:
 
 * ``poincare_closed``: direct closed formula, a finite alternating sum over
   block decompositions of the flag data, assembled in exact factored
-  rational-function arithmetic and certified by exact division.
+  rational-function arithmetic and certified by exact division.  The
+  decompositions are summed per (block ranks, denominator) class, Zagier's
+  regrouping by block type: one integer polynomial of signed monomials
+  per class, times the rank-only block numerators.
 * ``poincare_qclosed``: the point-count route.  The same block sum with
   the exponents of the stable-count generating function, bridged back to
   Betti numbers; ``compare_methods`` checks it against the first route.
@@ -29,7 +32,7 @@ import math
 from fractions import Fraction
 
 from . import rank2 as _rank2
-from .counting import block_factor as _raw_block_factor
+from .counting import _odd_plus_product, block_denominator, block_factor
 from .laurent import LaurentPoly, LaurentSeries, NonDivisible, TruncationTooSmall
 from .laurent import one_minus
 from .parabolic import (
@@ -73,18 +76,6 @@ def _check_stability(instance, force):
     return False
 
 
-_BLOCK_FACTOR_CACHE = {}
-
-
-def _block_factor(block, genus):
-    key = (canonical_form(block), genus)
-    hit = _BLOCK_FACTOR_CACHE.get(key)
-    if hit is None:
-        hit = _raw_block_factor(key[0], genus)
-        _BLOCK_FACTOR_CACHE[key] = hit
-    return hit
-
-
 def _count_shift(data, genus):
     """n^2(g - 1) + 2 flag_dim: the shift between the count side and the
     Betti side of one datum."""
@@ -94,17 +85,7 @@ def _count_shift(data, genus):
 def _block_q(block, genus):
     """Count generating function of the full family over one block."""
     shift = -_count_shift(block, genus)
-    return FactoredRatFunc.monomial(shift) * _block_factor(block, genus)
-
-
-def _chain_sign_factors(cols):
-    """Sign and denominator exponents of one block decomposition term."""
-    factors = {}
-    for k in range(len(cols) - 1):
-        m = 2 * (cols[k] + cols[k + 1])
-        factors[m] = factors.get(m, 0) - 1
-    sign = -1 if (len(cols) - 1) % 2 else 1
-    return sign, factors
+    return FactoredRatFunc.monomial(shift) * block_factor(block, genus)
 
 
 def _bridge(genus):
@@ -128,17 +109,35 @@ def _block_sum(data, genus, exponent):
     """The alternating block decomposition sum behind both closed routes.
 
     Each partition contributes sign * t^exponent(part, blocks) over its
-    chain denominators, times the shift-free factor of every block; the two
-    routes differ only in the exponent convention.
+    chain denominators, times the factor of every block; the two routes
+    differ only in the exponent convention.  A block factor's numerator
+    depends only on the block's rank, so the partitions are grouped by
+    (sorted block ranks, combined factor exponents): each class sums its
+    signed monomials into one integer polynomial, multiplies it by its
+    rank numerators once, and adds one rational function to the total.
     """
-    total = FactoredRatFunc.zero()
+    numerators = [_odd_plus_product(n, genus) for n in range(data.rank + 1)]
+    classes = {}
     for part in partitions(data):
         blocks = part.blocks()
-        sign, fac = _chain_sign_factors(part.cols)
-        term = FactoredRatFunc(exponent(part, blocks), LaurentPoly({0: sign}), fac)
+        cols = part.cols
+        factors = {}
+        for k in range(len(cols) - 1):
+            m = 2 * (cols[k] + cols[k + 1])
+            factors[m] = factors.get(m, 0) - 1
         for b in blocks:
-            term = term * _block_factor(b, genus)
-        total = total + term
+            for m, e in block_denominator(b).items():
+                factors[m] = factors.get(m, 0) + e
+        key = (tuple(sorted(cols)), tuple(sorted((m, e) for m, e in factors.items() if e)))
+        monomials = classes.setdefault(key, {})
+        x = exponent(part, blocks)
+        monomials[x] = monomials.get(x, 0) + (-1 if (len(cols) - 1) % 2 else 1)
+    total = FactoredRatFunc.zero()
+    for (ranks, factors), monomials in classes.items():
+        numer = LaurentPoly(monomials)
+        for n in ranks:
+            numer = numer * numerators[n]
+        total = total + FactoredRatFunc(0, numer, dict(factors))
     return total
 
 

@@ -63,16 +63,8 @@ class FactoredRatFunc:
         return cls(0, LaurentPoly.zero())
 
     @classmethod
-    def one(cls):
-        return cls()
-
-    @classmethod
     def monomial(cls, e, c=1):
         return cls(e, LaurentPoly({0: c}))
-
-    @classmethod
-    def from_poly(cls, poly):
-        return cls(0, poly)
 
     def is_zero(self):
         return self.numer.is_zero()
@@ -84,15 +76,6 @@ class FactoredRatFunc:
         for k, e in other.factors.items():
             fac[k] = fac.get(k, 0) + e
         return FactoredRatFunc(self.shift + other.shift, self.numer * other.numer, fac)
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            raise ValueError("negative powers are unsupported")
-        return FactoredRatFunc(
-            self.shift * n, self.numer**n, {k: v * n for k, v in self.factors.items()}
-        )
 
     def scale(self, c):
         return FactoredRatFunc(self.shift, self.numer.scale(c), self.factors)

@@ -113,7 +113,7 @@ def test_substitute_inverse_zeta_atom():
     g = 1
     direct = poincare_substitute(CountExpr(zeta=((2, 1),)), g)
     inverse = poincare_substitute(CountExpr(zeta=((2, -1),)), g)
-    assert direct * inverse == FRF.one()
+    assert direct * inverse == FRF()
 
 
 def test_flag_series_matches_substitution():

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +12,7 @@ import pytest
 
 from parbetti import engine
 from parbetti.cli import EXIT_INTERNAL, main
+from parbetti.counting import block_denominator, block_factor
 from parbetti.engine import (
     MethodInapplicable,
     StrictSemistable,
@@ -167,7 +169,6 @@ def test_routes_keep_integer_coefficients(monkeypatch):
 
     monkeypatch.setattr(engine, "_block_sum", recorded_sum)
     monkeypatch.setattr(engine, "_Recursor", Recorded)
-    monkeypatch.setattr(engine, "_BLOCK_FACTOR_CACHE", {})
     inst = Instance(1, 1, R3_TWO)
     polys = [compute(inst, m).poly for m in ("closed", "qclosed", "recursion")]
     series = [s for rec in recursors for s in rec.memo.values()]
@@ -413,7 +414,6 @@ def test_recursion_multiplies_once_per_residue_class(monkeypatch):
 
     monkeypatch.setattr(LaurentSeries, "__mul__", counted_mul)
     monkeypatch.setattr(engine, "hn_degree_tuples", counted_tuples)
-    monkeypatch.setattr(engine, "_BLOCK_FACTOR_CACHE", {})
     res = recursion_poincare(Instance(3, 0, LADDER_TWO))
     assert res.poly == poincare_closed(Instance(3, 0, LADDER_TWO)).poly
     assert len(tuples) > 1000
@@ -441,3 +441,104 @@ def test_degree_tuple_enumeration_vs_brute_random():
         assert got == _brute_tuples(cols, alphas, d, bound, window=window)
         checked += len(got)
     assert checked > 200
+
+
+# -- class regrouping of the closed block sum ---------------------------------
+
+LADDER_R4_TWO = make_data(
+    [
+        ((1, 1, 1, 1), ("0", "1/7", "2/7", "4/9")),
+        ((1, 1, 1, 1), ("1/11", "2/13", "5/17", "7/19")),
+    ]
+)
+PARTIAL_R4 = make_data([((2, 1, 1), ("0", "1/5", "1/2")), ((1, 3), ("1/7", "3/8"))])
+
+
+def _chain_factors(cols):
+    """Exponents of the chain denominators (1 - t^(2(c_k + c_k+1)))^-1."""
+    factors = {}
+    for k in range(len(cols) - 1):
+        m = 2 * (cols[k] + cols[k + 1])
+        factors[m] = factors.get(m, 0) - 1
+    return factors
+
+
+def _per_partition_sum(data, genus, exponent):
+    """The block sum one partition at a time, each block through block_factor."""
+    total = FactoredRatFunc.zero()
+    for part in partitions(data):
+        blocks = part.blocks()
+        sign = -1 if (part.length - 1) % 2 else 1
+        term = FactoredRatFunc(
+            exponent(part, blocks), LaurentPoly({0: sign}), _chain_factors(part.cols)
+        )
+        for b in blocks:
+            term = term * block_factor(b, genus)
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("genus", [0, 1, 3])
+def test_block_sum_matches_per_partition_sum(monkeypatch, genus):
+    """Grouping partitions by class changes the value of neither route's sum."""
+    calls = []
+    block_sum = engine._block_sum
+
+    def recorded(*args):
+        calls.append(args)
+        return block_sum(*args)
+
+    monkeypatch.setattr(engine, "_block_sum", recorded)
+    for data, d in ((R3_TWO, 1), (R4, 1), (LADDER_TWO, 0), (PARTIAL_R4, 1)):
+        for method in ("closed", "qclosed"):
+            try:
+                compute(Instance(genus, d, data), method, force=True)
+            except NonPolynomialResult:
+                pass
+    assert len(calls) == 8
+    for args in calls:
+        assert block_sum(*args) == _per_partition_sum(*args)
+
+
+def test_closed_sum_adds_once_per_class(monkeypatch):
+    """One rational-function addition per (block ranks, denominator) class,
+    not one per partition."""
+    parts = partitions(LADDER_R4_TWO)
+    classes = set()
+    for part in parts:
+        factors = _chain_factors(part.cols)
+        for b in part.blocks():
+            for k, e in block_denominator(b).items():
+                factors[k] = factors.get(k, 0) + e
+        classes.add((tuple(sorted(part.cols)), frozenset((k, e) for k, e in factors.items() if e)))
+    adds = []
+    add = FactoredRatFunc.__add__
+
+    def counted(self, other):
+        adds.append(1)
+        return add(self, other)
+
+    monkeypatch.setattr(FactoredRatFunc, "__add__", counted)
+    poincare_closed(Instance(2, 1, LADDER_R4_TWO))
+    assert len(parts) == 1077 and len(classes) < 20
+    assert len(adds) <= len(classes)
+
+
+def test_no_module_state_grows_across_computes():
+    """Nothing is remembered between calls: no module-level container of the
+    package grows while the three general routes run."""
+    mods = [m for name, m in sys.modules.items() if name.split(".")[0] == "parbetti"]
+
+    def sizes():
+        return {
+            (m.__name__, name): len(value)
+            for m in mods
+            for name, value in vars(m).items()
+            if not name.startswith("__") and isinstance(value, (dict, list, set))
+        }
+
+    before = sizes()
+    data = make_data([((1, 2), ("1/23", "5/29")), ((1, 1, 1), ("0", "2/31", "7/37"))])
+    for method in ("closed", "qclosed", "recursion"):
+        compute(Instance(2, 1, data), method)
+    assert sizes() == before

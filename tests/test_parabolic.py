@@ -3,7 +3,7 @@ from math import floor
 
 import pytest
 
-from parbetti import compute, engine
+from parbetti import compute
 from parbetti.parabolic import (
     FlagPoint,
     Instance,
@@ -202,7 +202,6 @@ def test_routes_validate_input_once(monkeypatch):
             check(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
-    monkeypatch.setattr(engine, "_BLOCK_FACTOR_CACHE", {})
     for method in ("closed", "qclosed", "recursion"):
         compute(inst, method)
     assert slope_coincidence_witness(data, 0) is None

@@ -18,26 +18,23 @@ def test_canonical_form():
     assert FRF(0, LaurentPoly.one(), {2: 0}).factors == {}
 
 
-def test_mul_and_pow():
+def test_mul():
     f = FRF(1, one_plus(1), {2: -1})
     g = f * f
     assert g.shift == 2 and g.factors == {2: -2}
-    assert g == f**2
-    for base in (FRF.monomial(3, 2), f, FRF.one()):
-        with pytest.raises(ValueError):
-            base ** -1
+    assert g.numer == one_plus(1) ** 2
 
 
 def test_equality_cross_multiplies():
     # (1 - t^4)/(1 - t^2) == 1 + t^2 without ever factoring the numerator
     f = FRF(0, LaurentPoly.one(), {4: 1, 2: -1})
-    g = FRF.from_poly(one_plus(2))
+    g = FRF(0, one_plus(2))
     assert f == g
     assert f != g * FRF.monomial(1)
 
 
 def test_add():
-    one = FRF.one()
+    one = FRF()
     f = FRF(2, LaurentPoly.one(), {2: -1})  # t^2/(1-t^2)
     s = f + one
     assert s == FRF(0, LaurentPoly.one(), {2: -1})

@@ -52,3 +52,49 @@ def test_coefficients_are_ints():
 
     laurent = ast.parse((SRC / "laurent.py").read_text(encoding="utf-8"))
     assert _fraction_uses(laurent, {"_coerce", "LaurentPoly.evaluate"}) == []
+
+
+def _is_empty_container(node):
+    """An empty ``{}`` or ``[]`` literal, or a bare ``dict()``, ``list()`` or
+    ``set()`` call."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in {"dict", "list", "set"}
+        and not node.args
+        and not node.keywords
+    )
+
+
+def _decorator_name(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_no_module_level_caches():
+    """Caches and work stay bounded: no module-level name starts as an empty
+    container to be filled later, and no function is memoised by functools."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and node.value is not None
+            and _is_empty_container(node.value)
+        ]
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(_decorator_name(d) in {"cache", "lru_cache"} for d in node.decorator_list)
+        ]
+    assert found == []
