@@ -13,8 +13,12 @@ Z(q^-j) -> (1+t^{2j-1})^{2g} / ((1-t^{2j-2})(1-t^{2j})) for j >= 2,
 J -> t^-2g (1+t)^{2g},  p(q) -> p(t^-2).
 
 The closed routes use the substituted per-block factor in two parts: its
-genus-free factor exponents (``block_denominator``) and its numerator
-prod_{i<=n} (1+t^{2i-1})^{2g}, which depends only on the block's rank n.
+genus-free factor exponents and its numerator prod_{i<=n} (1+t^{2i-1})^{2g},
+which depends only on the block's rank n.  The exponents split once more,
+into a part of the rank and the number of points (``rank_denominator``) and
+one term per flag row (``flag_denominator``): the closed routes' block sum
+adds the first per composition of block ranks and the second per table, and
+``block_denominator`` adds both for one block.
 """
 
 from __future__ import annotations
@@ -56,36 +60,6 @@ class CountExpr:
             if e:
                 z[j] = z.get(j, 0) + e
         object.__setattr__(self, "zeta", tuple(sorted((j, e) for j, e in z.items() if e)))
-
-    @classmethod
-    def from_poly(cls, poly):
-        return cls(poly=poly)
-
-    @classmethod
-    def one(cls):
-        return cls()
-
-    def __mul__(self, other):
-        if not isinstance(other, CountExpr):
-            return NotImplemented
-        return CountExpr(
-            self.q_power + other.q_power,
-            self.qminus1_power + other.qminus1_power,
-            self.zeta + other.zeta,
-            self.jac_power + other.jac_power,
-            self.poly * other.poly,
-        )
-
-    def __pow__(self, m):
-        if not isinstance(m, int) or m < 0:
-            return NotImplemented
-        return CountExpr(
-            self.q_power * m,
-            self.qminus1_power * m,
-            tuple((j, e * m) for j, e in self.zeta),
-            self.jac_power * m,
-            self.poly**m,
-        )
 
     def evaluate_q(self, x):
         """Numeric value at q = x; only legal without curve-dependent parts."""
@@ -225,17 +199,31 @@ def mass_series_jac(n, genus):
     return FactoredRatFunc(shift, _odd_plus_product(n, genus, start=1), _mass_factors(n))
 
 
+def rank_denominator(n, num_points):
+    """Factor exponents {k: e_k} of a rank-n block factor that depend only
+    on n and the number of points: the mass part and the flag part's
+    numerator prod_{i<=n} (1 - t^{2i})^s."""
+    factors = _mass_factors(n)
+    for i in range(1, n + 1):
+        factors[2 * i] = factors.get(2 * i, 0) + num_points
+    return factors
+
+
+def flag_denominator(mults, factors):
+    """Add each flag row's part, exponent -1 at k = 2, 4, ..., 2m, to
+    factors and return them; zero rows add nothing."""
+    for m in mults:
+        for l in range(1, m + 1):
+            factors[2 * l] = factors.get(2 * l, 0) - 1
+    return factors
+
+
 def block_denominator(data):
     """Factor exponents {k: e_k} of the block factor, flag part plus mass
     part; they do not depend on the genus."""
-    n = data.rank
-    factors = _mass_factors(n)
-    for i in range(1, n + 1):
-        factors[2 * i] = factors.get(2 * i, 0) + data.num_points
+    factors = rank_denominator(data.rank, data.num_points)
     for pt in data.points:
-        for m in pt.mults:
-            for l in range(1, m + 1):
-                factors[2 * l] = factors.get(2 * l, 0) - 1
+        flag_denominator(pt.mults, factors)
     return factors
 
 

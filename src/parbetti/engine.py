@@ -5,9 +5,9 @@ Three independent routes to the same polynomial:
 * ``poincare_closed``: direct closed formula, a finite alternating sum over
   block decompositions of the flag data, assembled in exact factored
   rational-function arithmetic and certified by exact division.  The
-  decompositions are summed per (block ranks, denominator) class, Zagier's
-  regrouping by block type: one integer polynomial of signed monomials
-  per class, times the rank-only block numerators.
+  decompositions are never built: an integer walk over each point's tables
+  sums them per (block ranks, denominator) class, Zagier's regrouping by
+  block type, into one integer polynomial per class times rank numerators.
 * ``poincare_qclosed``: the point-count route.  The same block sum with
   the exponents of the stable-count generating function, bridged back to
   Betti numbers; ``compare_methods`` checks it against the first route.
@@ -28,24 +28,24 @@ runs the recursion's own step on the closed route's stable counts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 from . import rank2 as _rank2
-from .counting import _odd_plus_product, block_denominator, block_factor
+from .counting import _odd_plus_product, block_factor, flag_denominator, rank_denominator
 from .laurent import LaurentPoly, LaurentSeries, NonDivisible, TruncationTooSmall
 from .laurent import one_minus
 from .parabolic import (
+    _compositions,
+    _tables_for_point,
     canonical_form,
-    coinv_count,
     flag_dim,
-    floor_sum,
-    floor_sum_genus,
     inv_count,
-    linear_offset,
     moduli_dim,
     partitions,
     slope_coincidence_witness,
+    table_pairs,
     weight_sum,
 )
 from .ratfunc import FactoredRatFunc
@@ -105,38 +105,99 @@ def _certify(func, instance, method, ss_ok):
     return result_from_poly(poly, dim, method, ss_ok, enforce=ss_ok)
 
 
-def _block_sum(data, genus, exponent):
-    """The alternating block decomposition sum behind both closed routes.
+def _block_classes(data, d, cols_term, table_term):
+    """The partitions of the closed routes' block sum, grouped by class.
 
-    Each partition contributes sign * t^exponent(part, blocks) over its
-    chain denominators, times the factor of every block; the two routes
-    differ only in the exponent convention.  A block factor's numerator
-    depends only on the block's rank, so the partitions are grouped by
-    (sorted block ranks, combined factor exponents): each class sums its
-    signed monomials into one integer polynomial, multiplies it by its
-    rank numerators once, and adds one rational function to the total.
+    A partition is a composition ``cols`` of the rank (block ranks c_k) and
+    one table per point; it contributes sign * t^x over its chain and block
+    denominators.  The routes share the floored part of x,
+    2 (sum_k (c_k + c_{k+1}) (floor(N_k lam - A_k) + 1) - (n - c_r) d), with
+    N_k and A_k the rank and weight of the first k + 1 blocks and lam the
+    total slope, and add ``cols_term(cols)`` and, per point,
+    ``table_term(inv, coinv, sq)``: the table's cross-block pair counts and
+    the sum of its squared entries.
+
+    No partition or block is built.  The weights are scaled once to integers
+    over their lcm denominator D, so a floor is one integer division
+    (N_k (d D + W) - n A_k) // (n D), W and A_k over D.  Each point's tables
+    are read once per composition into their prefix weights, table term and
+    flag denominator, the last packed as base-(s n + 1) digits so that the
+    points add as integers.  Classes are keyed by (sorted block ranks, factor
+    exponents) in the order ``partitions`` lists them; each maps x to its
+    signed count.
     """
-    numerators = [_odd_plus_product(n, genus) for n in range(data.rank + 1)]
+    n = data.rank
+    den = math.lcm(*(w.denominator for p in data.points for w in p.weights))
+    weights = [[w.numerator * (den // w.denominator) for w in p.weights] for p in data.points]
+    top = d * den + sum(m * w for p, ws in zip(data.points, weights) for m, w in zip(p.mults, ws))
+    nd = n * den
+    base = data.num_points * n + 1
     classes = {}
-    for part in partitions(data):
-        blocks = part.blocks()
-        cols = part.cols
-        factors = {}
-        for k in range(len(cols) - 1):
-            m = 2 * (cols[k] + cols[k + 1])
-            factors[m] = factors.get(m, 0) - 1
-        for b in blocks:
-            for m, e in block_denominator(b).items():
-                factors[m] = factors.get(m, 0) + e
-        key = (tuple(sorted(cols)), tuple(sorted((m, e) for m, e in factors.items() if e)))
-        monomials = classes.setdefault(key, {})
-        x = exponent(part, blocks)
-        monomials[x] = monomials.get(x, 0) + (-1 if (len(cols) - 1) % 2 else 1)
+    for r in range(1, n + 1):
+        sign = -1 if (r - 1) % 2 else 1
+        for cols in _compositions(n, r):
+            pair_sums = [cols[k] + cols[k + 1] for k in range(r - 1)]
+            factors = {}
+            for c in pair_sums:
+                factors[2 * c] = factors.get(2 * c, 0) - 1
+            for c in cols:
+                for m, e in rank_denominator(c, data.num_points).items():
+                    factors[m] = factors.get(m, 0) + e
+            tops = [k * top for k in itertools.accumulate(cols[:-1])]
+            x0 = cols_term(cols) + 2 * (sum(pair_sums) - (n - cols[-1]) * d)
+            per_point = []
+            for p, ws in zip(data.points, weights):
+                rows = []
+                for tbl in _tables_for_point(p.mults, cols):
+                    inv, coinv = table_pairs(tbl, cols)
+                    entries = [a for row in tbl for a in row]
+                    flag = flag_denominator(entries, {}).items()
+                    prefix = []
+                    acc = 0
+                    for k in range(r - 1):
+                        acc += sum(row[k] * w for row, w in zip(tbl, ws))
+                        prefix.append(-n * acc)
+                    code = sum(-e * base ** (m // 2 - 1) for m, e in flag)
+                    rows.append((code, prefix, table_term(inv, coinv, sum(a * a for a in entries))))
+                per_point.append(rows)
+            local = {}
+            for head in itertools.product(*per_point[:-1]):
+                hcode = sum(t[0] for t in head)
+                hx = x0 + sum(t[2] for t in head)
+                hw = tops
+                for t in head:
+                    hw = [a + b for a, b in zip(hw, t[1])]
+                for code, prefix, e in per_point[-1]:
+                    x = hx + e + 2 * sum(
+                        c * ((a + b) // nd) for c, a, b in zip(pair_sums, hw, prefix)
+                    )
+                    xs = local.get(hcode + code)
+                    if xs is None:
+                        xs = local[hcode + code] = {}
+                    xs[x] = xs.get(x, 0) + sign
+            ranks = tuple(sorted(cols))
+            for code, xs in local.items():
+                fac = dict(factors)
+                for j in range(1, n + 1):
+                    code, cnt = divmod(code, base)
+                    fac[2 * j] = fac.get(2 * j, 0) - cnt
+                key = (ranks, tuple(sorted((m, e) for m, e in fac.items() if e)))
+                monomials = classes.setdefault(key, {})
+                for x, c in xs.items():
+                    monomials[x] = monomials.get(x, 0) + c
+    return classes
+
+
+def _block_sum(data, genus, d, cols_term, table_term):
+    """The alternating block decomposition sum behind both closed routes:
+    each class of ``_block_classes`` is one integer polynomial, multiplied
+    by its rank numerators once and added as one rational function."""
+    numerators = [_odd_plus_product(c, genus) for c in range(data.rank + 1)]
     total = FactoredRatFunc.zero()
-    for (ranks, factors), monomials in classes.items():
+    for (ranks, factors), monomials in _block_classes(data, d, cols_term, table_term).items():
         numer = LaurentPoly(monomials)
-        for n in ranks:
-            numer = numer * numerators[n]
+        for c in ranks:
+            numer = numer * numerators[c]
         total = total + FactoredRatFunc(0, numer, dict(factors))
     return total
 
@@ -146,17 +207,14 @@ def poincare_closed(instance, force=False):
     data, d, g = instance.data, instance.degree, instance.genus
     ss_ok = _check_stability(instance, force)
     n = data.rank
-    lam = Fraction(d + weight_sum(data), n)
-
-    def exponent(part, _blocks):
-        return 2 * (
-            coinv_count(part)
-            - (n - part.cols[-1]) * d
-            + floor_sum_genus(part, lam, g)
-        )
-
-    func = _block_sum(data, g, exponent) * _bridge(g)
-    return _certify(func, instance, "closed", ss_ok)
+    # the Betti side: 2 coinv per point, and twice the genus pairing
+    # (g - 1) sum_{k<l} c_k c_l of the block ranks
+    func = _block_sum(
+        data, g, d,
+        lambda cols: (g - 1) * (n * n - sum(c * c for c in cols)),
+        lambda inv, coinv, sq: 2 * coinv,
+    )
+    return _certify(func * _bridge(g), instance, "closed", ss_ok)
 
 
 def q_ratfunc(data, d, genus):
@@ -167,14 +225,15 @@ def q_ratfunc(data, d, genus):
     block factor shifted by t^(-n^2(g-1) - 2 flag_dim).  The r = 1 term is
     the full-family count itself.
     """
-    lam = Fraction(d + weight_sum(data), data.rank)
-
-    def exponent(part, blocks):
-        return 2 * (linear_offset(part, d) + floor_sum(part, lam)) - sum(
-            _count_shift(b, genus) for b in blocks
-        )
-
-    return _block_sum(data, genus, exponent)
+    s = data.num_points
+    # the count side: -2 inv per point, and minus each block's shift
+    # n_b^2 (g - 1) + 2 flag_dim(b), where 2 flag_dim(b) is s n_b^2 minus
+    # the squares of the block's column in every table
+    return _block_sum(
+        data, genus, d,
+        lambda cols: -(genus - 1 + s) * sum(c * c for c in cols),
+        lambda inv, coinv, sq: sq - 2 * inv,
+    )
 
 
 def poincare_qclosed(instance, force=False):

@@ -15,7 +15,8 @@ rows built through ``make_data``.
 A Partition splits the data into r ordered blocks: at every point a matrix
 with the data's multiplicities as row sums and a common column-sum vector
 (the block ranks) across points.  These index the filtration strata that
-drive every formula downstream.
+drive every formula downstream.  The recursion builds them (``partitions``);
+the closed routes walk the same compositions and tables without them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import floor
 
 
 def _as_fraction(w):
@@ -270,82 +270,33 @@ def _tables_for_point(mults, cols):
 # numeric invariants of partitions and sub-data
 
 
+def table_pairs(tbl, cols):
+    """(inv, coinv) of one point's table, in one pass over its rows.
+
+    inv counts pairs of flag rows (i, t) with i > t whose mass lies in
+    blocks k > l respectively; coinv the pairs with i < t.  Row i's entry in
+    block k meets the earlier rows' mass of the blocks before k (inv) and
+    the rest of those blocks' columns, below row i (coinv).
+    """
+    inv = coinv = 0
+    above = [0] * len(cols)
+    for row in tbl:
+        before_above = before_row = before_cols = 0
+        for k, a in enumerate(row):
+            if a:
+                inv += a * before_above
+                coinv += a * (before_cols - before_above - before_row)
+            before_above += above[k]
+            before_row += a
+            before_cols += cols[k]
+            above[k] += a
+    return inv, coinv
+
+
 def inv_count(part):
-    """Cross-block pairs where the later block sits deeper in the flag.
-
-    Counts, at every point, pairs of flag rows (i, t) with i > t whose mass
-    lies in blocks k > l respectively.
-    """
-    total = 0
-    for tbl in part.tables:
-        rows = len(tbl)
-        r = part.length
-        for k in range(1, r):
-            for l in range(k):
-                for i in range(1, rows):
-                    a = tbl[i][k]
-                    if not a:
-                        continue
-                    for t in range(i):
-                        total += a * tbl[t][l]
-    return total
-
-
-def coinv_count(part):
-    """Cross-block pairs where the later block sits shallower in the flag."""
-    total = 0
-    for tbl in part.tables:
-        rows = len(tbl)
-        r = part.length
-        for k in range(1, r):
-            for l in range(k):
-                for i in range(rows - 1):
-                    a = tbl[i][k]
-                    if not a:
-                        continue
-                    for t in range(i + 1, rows):
-                        total += a * tbl[t][l]
-    return total
-
-
-def linear_offset(part, d):
-    """Degree-linear part of the closed-formula exponent."""
-    cols = part.cols
-    n = part.data.rank
-    return -(n - cols[-1]) * d - inv_count(part) + (2 * n - cols[0] - cols[-1])
-
-
-def floor_sum(part, lam):
-    """Sum of floored prefix slope gaps weighted by adjacent block ranks.
-
-    The weight of the first k + 1 blocks is kept as a running sum of each
-    block's weight, read from the tables.
-    """
-    cols = part.cols
-    points = [(tbl, p.weights) for p, tbl in zip(part.data.points, part.tables)]
-    total = 0
-    nk = 0
-    a = 0
-    for k in range(part.length - 1):
-        nk += cols[k]
-        a += sum(row[k] * w for tbl, ws in points for row, w in zip(tbl, ws) if row[k])
-        total += (cols[k] + cols[k + 1]) * floor(nk * lam - a)
-    return total
-
-
-def floor_sum_genus(part, lam, genus):
-    """floor_sum with each floor bumped by one plus the genus pairing term.
-
-    The bumps add sum_k (c_k + c_{k+1}) over adjacent blocks, which is
-    2n - c_0 - c_r.
-    """
-    cols = part.cols
-    bumps = 2 * part.data.rank - cols[0] - cols[-1]
-    pair = 0
-    for i in range(part.length):
-        for j in range(i + 1, part.length):
-            pair += cols[i] * cols[j]
-    return floor_sum(part, lam) + bumps + (genus - 1) * pair
+    """Cross-block pairs where the later block sits deeper in the flag,
+    summed over the points."""
+    return sum(table_pairs(tbl, part.cols)[0] for tbl in part.tables)
 
 
 def degree_at_slope(sub, lam):

@@ -3,8 +3,13 @@
 No route calls these: they restate the exponents of single strata and of
 sub-datum splits, and cut a partition into its first blocks and the rest,
 so the tests can check the combinatorial identities that the routes' closed
-sums rely on.
+sums rely on.  The partition-level exponent pieces (``coinv_count``,
+``linear_offset``, ``floor_sum``, ``floor_sum_genus``) read each partition's
+tables in exact rational arithmetic; they are the reference the closed
+routes' integer block sum is tested against.
 """
+
+from math import floor
 
 from parbetti.parabolic import FlagPoint, Partition, QPData, _derived, inv_count
 
@@ -107,3 +112,60 @@ def term_exponent(part, degs):
 def stratum_exponent(part, degs, genus):
     """Codimension-style exponent of a filtration stratum."""
     return inv_count(part) - hom_euler(part.cols, degs, genus)
+
+
+def coinv_count(part):
+    """Cross-block pairs where the later block sits shallower in the flag."""
+    total = 0
+    for tbl in part.tables:
+        rows = len(tbl)
+        r = part.length
+        for k in range(1, r):
+            for l in range(k):
+                for i in range(rows - 1):
+                    a = tbl[i][k]
+                    if not a:
+                        continue
+                    for t in range(i + 1, rows):
+                        total += a * tbl[t][l]
+    return total
+
+
+def linear_offset(part, d):
+    """Degree-linear part of the closed-formula exponent."""
+    cols = part.cols
+    n = part.data.rank
+    return -(n - cols[-1]) * d - inv_count(part) + (2 * n - cols[0] - cols[-1])
+
+
+def floor_sum(part, lam):
+    """Sum of floored prefix slope gaps weighted by adjacent block ranks.
+
+    The weight of the first k + 1 blocks is kept as a running sum of each
+    block's weight, read from the tables.
+    """
+    cols = part.cols
+    points = [(tbl, p.weights) for p, tbl in zip(part.data.points, part.tables)]
+    total = 0
+    nk = 0
+    a = 0
+    for k in range(part.length - 1):
+        nk += cols[k]
+        a += sum(row[k] * w for tbl, ws in points for row, w in zip(tbl, ws) if row[k])
+        total += (cols[k] + cols[k + 1]) * floor(nk * lam - a)
+    return total
+
+
+def floor_sum_genus(part, lam, genus):
+    """floor_sum with each floor bumped by one plus the genus pairing term.
+
+    The bumps add sum_k (c_k + c_{k+1}) over adjacent blocks, which is
+    2n - c_0 - c_r.
+    """
+    cols = part.cols
+    bumps = 2 * part.data.rank - cols[0] - cols[-1]
+    pair = 0
+    for i in range(part.length):
+        for j in range(i + 1, part.length):
+            pair += cols[i] * cols[j]
+    return floor_sum(part, lam) + bumps + (genus - 1) * pair

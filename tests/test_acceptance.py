@@ -53,8 +53,6 @@ from parbetti.parabolic import (
     _compositions,
     degree_at_slope,
     inv_count,
-    coinv_count,
-    linear_offset,
     partitions,
     subdata,
 )
@@ -67,8 +65,10 @@ from oracles import (
     brute_subdata,
 )
 from strata import (
+    coinv_count,
     head,
     hom_euler,
+    linear_offset,
     prefix_data,
     split_inversions,
     stratum_exponent,

@@ -30,6 +30,9 @@ from parbetti.engine import (
 from parbetti.laurent import LaurentPoly, LaurentSeries
 from parbetti.parabolic import (
     Instance,
+    Partition,
+    _compositions,
+    _tables_for_point,
     flag_dim,
     inv_count,
     make_data,
@@ -38,6 +41,8 @@ from parbetti.parabolic import (
 )
 from parbetti.ratfunc import FactoredRatFunc
 from parbetti.result import NonPolynomialResult
+
+from strata import coinv_count, floor_sum, floor_sum_genus, linear_offset
 
 R2 = make_data([((1, 1), ("0", "1/3"))])
 R3 = make_data([((1, 1, 1), ("0", "1/12", "3/12"))])
@@ -463,14 +468,32 @@ def _chain_factors(cols):
     return factors
 
 
-def _per_partition_sum(data, genus, exponent):
+def _oracle_exponent(part, blocks, genus, d, method):
+    """One partition's exponent in the closed or the qclosed route,
+    read from its blocks with the rational reference helpers."""
+    n = part.data.rank
+    lam = Fraction(d + weight_sum(part.data), n)
+    if method == "closed":
+        return 2 * (
+            coinv_count(part)
+            - (n - part.cols[-1]) * d
+            + floor_sum_genus(part, lam, genus)
+        )
+    return 2 * (linear_offset(part, d) + floor_sum(part, lam)) - sum(
+        engine._count_shift(b, genus) for b in blocks
+    )
+
+
+def _per_partition_sum(data, genus, d, method):
     """The block sum one partition at a time, each block through block_factor."""
     total = FactoredRatFunc.zero()
     for part in partitions(data):
         blocks = part.blocks()
         sign = -1 if (part.length - 1) % 2 else 1
         term = FactoredRatFunc(
-            exponent(part, blocks), LaurentPoly({0: sign}), _chain_factors(part.cols)
+            _oracle_exponent(part, blocks, genus, d, method),
+            LaurentPoly({0: sign}),
+            _chain_factors(part.cols),
         )
         for b in blocks:
             term = term * block_factor(b, genus)
@@ -496,8 +519,104 @@ def test_block_sum_matches_per_partition_sum(monkeypatch, genus):
             except NonPolynomialResult:
                 pass
     assert len(calls) == 8
-    for args in calls:
-        assert block_sum(*args) == _per_partition_sum(*args)
+    for args, method in zip(calls, ("closed", "qclosed") * 4):
+        assert block_sum(*args) == _per_partition_sum(*args[:3], method)
+
+
+class _Recorded(Exception):
+    pass
+
+
+def _oracle_classes(data, genus, d, method):
+    """Partitions keyed by (sorted block ranks, denominator) in the order
+    ``partitions`` lists them, each class mapping exponents to signed
+    counts; also the number of negative floor arguments N_k lam - A_k."""
+    lam = Fraction(d + weight_sum(data), data.rank)
+    classes = {}
+    negative = 0
+    for part in partitions(data):
+        blocks = part.blocks()
+        factors = _chain_factors(part.cols)
+        for b in blocks:
+            for k, e in block_denominator(b).items():
+                factors[k] = factors.get(k, 0) + e
+        key = (tuple(sorted(part.cols)), tuple(sorted((k, e) for k, e in factors.items() if e)))
+        monomials = classes.setdefault(key, {})
+        x = _oracle_exponent(part, blocks, genus, d, method)
+        monomials[x] = monomials.get(x, 0) + (-1 if (part.length - 1) % 2 else 1)
+        for k in range(1, part.length):
+            front = sum(part.cols[:k])
+            negative += front * lam < sum(weight_sum(b) for b in blocks[:k])
+    return classes, negative
+
+
+def _random_block_data(rng, limit=400):
+    """Rank 1-5 data on 1-3 points with partial flags, zero rows and weight
+    denominators up to 40, redrawn until it has at most limit partitions."""
+    while True:
+        n = rng.randint(1, 5)
+        rows = []
+        for _ in range(rng.randint(1, 3)):
+            mults = []
+            while sum(mults) < n:
+                mults.append(rng.randint(1, n - sum(mults)))
+            for _ in range(rng.randint(0, 2)):
+                mults.insert(rng.randint(0, len(mults)), 0)
+            den = rng.randint(len(mults), 40)
+            nums = sorted(rng.sample(range(den), len(mults)))
+            rows.append((mults, [Fraction(a, den) for a in nums]))
+        data = make_data(rows)
+        size = sum(
+            math.prod(len(_tables_for_point(p.mults, cols)) for p in data.points)
+            for r in range(1, n + 1)
+            for cols in _compositions(n, r)
+        )
+        if size <= limit:
+            return data
+
+
+def test_block_classes_match_rational_reference(monkeypatch):
+    """The integer kernel gives every partition the exponent and the class
+    key of the rational reference helpers, in both routes' conventions."""
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        raise _Recorded
+
+    monkeypatch.setattr(engine, "_block_sum", recorded)
+    rng = random.Random(11)
+    negative = parts = 0
+    for _ in range(60):
+        data = _random_block_data(rng)
+        genus, d = rng.randint(0, 3), rng.randint(-5, 5)
+        for method in ("closed", "qclosed"):
+            calls.clear()
+            with pytest.raises(_Recorded):
+                compute(Instance(genus, d, data), method, force=True)
+            (args,) = calls
+            assert args[:3] == (data, genus, d)
+            want, neg = _oracle_classes(data, genus, d, method)
+            got = engine._block_classes(data, d, *args[3:])
+            assert got == want
+            assert list(got) == list(want)
+            negative += neg
+        parts += len(partitions(data))
+    assert negative > 100 and parts > 2000
+
+
+def test_closed_routes_build_no_partition(monkeypatch):
+    """The closed routes read tables, never Partition objects or blocks."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closed route built a partition")
+
+    inst = Instance(2, 1, LADDER_R4_TWO)
+    want = poincare_closed(inst).poly
+    monkeypatch.setattr(Partition, "blocks", refuse)
+    monkeypatch.setattr(engine, "partitions", refuse)
+    assert poincare_closed(inst).poly == want
+    assert poincare_qclosed(inst).poly == want
 
 
 def test_closed_sum_adds_once_per_class(monkeypatch):

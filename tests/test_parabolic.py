@@ -10,13 +10,9 @@ from parbetti.parabolic import (
     Partition,
     QPData,
     canonical_form,
-    coinv_count,
     degree_at_slope,
     flag_dim,
-    floor_sum,
-    floor_sum_genus,
     inv_count,
-    linear_offset,
     make_data,
     moduli_dim,
     partitions,
@@ -28,9 +24,13 @@ from parbetti.parabolic import (
 
 from oracles import brute_partitions, brute_subdata
 from strata import (
+    coinv_count,
     complement,
+    floor_sum,
+    floor_sum_genus,
     head,
     hom_euler,
+    linear_offset,
     prefix_data,
     reembed,
     split_inversions,

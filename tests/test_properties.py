@@ -17,14 +17,14 @@ from parbetti.parabolic import (
     _compositions,
     degree_at_slope,
     inv_count,
-    coinv_count,
-    linear_offset,
     partitions,
 )
 
 from strata import (
+    coinv_count,
     head,
     hom_euler,
+    linear_offset,
     prefix_data,
     split_inversions,
     stratum_exponent,

@@ -22,9 +22,9 @@ def test_no_assert_statements():
 
 
 
-def _fraction_uses(tree, allowed):
-    """Lines naming Fraction outside the functions named in allowed, given
-    as ``func`` for module functions and ``Class.method`` for methods."""
+def _scopes(tree):
+    """(name, node) of every module function and method, named ``func`` and
+    ``Class.method``."""
     scopes = [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
     scopes += [
         (f"{c.name}.{f.name}", f)
@@ -33,10 +33,22 @@ def _fraction_uses(tree, allowed):
         for f in c.body
         if isinstance(f, ast.FunctionDef)
     ]
+    return scopes
+
+
+def _fraction_uses(tree, allowed, within=None):
+    """Lines naming Fraction outside the functions named in allowed, given
+    as ``func`` for module functions and ``Class.method`` for methods; with
+    within, only lines inside the functions named there are searched."""
+    scopes = _scopes(tree)
     skip = {id(n) for name, f in scopes if name in allowed for n in ast.walk(f)}
+    if within is None:
+        nodes = ast.walk(tree)
+    else:
+        nodes = [n for name, f in scopes if name in within for n in ast.walk(f)]
     return [
         node.lineno
-        for node in ast.walk(tree)
+        for node in nodes
         if isinstance(node, ast.Name) and node.id == "Fraction" and id(node) not in skip
     ]
 
@@ -52,6 +64,15 @@ def test_coefficients_are_ints():
 
     laurent = ast.parse((SRC / "laurent.py").read_text(encoding="utf-8"))
     assert _fraction_uses(laurent, {"_coerce", "LaurentPoly.evaluate"}) == []
+
+
+def test_closed_block_sum_is_integer():
+    """The closed routes' block sum and exponents are integer arithmetic:
+    none of them names Fraction."""
+    engine = ast.parse((SRC / "engine.py").read_text(encoding="utf-8"))
+    closed = {"_block_classes", "_block_sum", "poincare_closed", "q_ratfunc"}
+    assert closed <= {name for name, _ in _scopes(engine)}
+    assert _fraction_uses(engine, set(), within=closed) == []
 
 
 def _is_empty_container(node):
