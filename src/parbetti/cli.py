@@ -334,6 +334,8 @@ def cmd_sweep(args, out=None):
     out = out or sys.stdout
     instance, options = _load_document(args.input)
     genus_list = _parse_range(args.genus_range, instance.genus)
+    if genus_list[0] < 0:
+        raise DocumentError(f"--genus-range: genus must be >= 0, got {genus_list[0]}")
     degree_list = _parse_range(args.degree_range, instance.degree)
     specs = tuple(
         (tuple(pt.mults), tuple(str(w) for w in pt.weights))

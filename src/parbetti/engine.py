@@ -29,24 +29,19 @@ runs the recursion's own step on the closed route's stable counts.
 from __future__ import annotations
 
 import itertools
-import math
-from fractions import Fraction
 
 from . import rank2 as _rank2
 from .counting import _odd_plus_product, block_factor, flag_denominator, rank_denominator
 from .laurent import LaurentPoly, LaurentSeries, NonDivisible, TruncationTooSmall
 from .laurent import one_minus
 from .parabolic import (
-    _compositions,
-    _tables_for_point,
+    _derived,
+    _integer_weights,
+    _strata,
     canonical_form,
     flag_dim,
-    inv_count,
     moduli_dim,
-    partitions,
     slope_coincidence_witness,
-    table_pairs,
-    weight_sum,
 )
 from .ratfunc import FactoredRatFunc
 from .result import NonPolynomialResult, result_from_poly
@@ -120,71 +115,65 @@ def _block_classes(data, d, cols_term, table_term):
     No partition or block is built.  The weights are scaled once to integers
     over their lcm denominator D, so a floor is one integer division
     (N_k (d D + W) - n A_k) // (n D), W and A_k over D.  Each point's tables
-    are read once per composition into their prefix weights, table term and
-    flag denominator, the last packed as base-(s n + 1) digits so that the
-    points add as integers.  Classes are keyed by (sorted block ranks, factor
-    exponents) in the order ``partitions`` lists them; each maps x to its
-    signed count.
+    (``_strata``) are turned once per composition into their prefix weights,
+    table term and flag denominator, the last packed as base-(s n + 1)
+    digits so that the points add as integers.  Classes are keyed by (sorted
+    block ranks, factor exponents) in the order the strata come; each maps
+    x to its signed count.
     """
     n = data.rank
-    den = math.lcm(*(w.denominator for p in data.points for w in p.weights))
-    weights = [[w.numerator * (den // w.denominator) for w in p.weights] for p in data.points]
+    den, weights = _integer_weights(data)
     top = d * den + sum(m * w for p, ws in zip(data.points, weights) for m, w in zip(p.mults, ws))
     nd = n * den
     base = data.num_points * n + 1
     classes = {}
-    for r in range(1, n + 1):
-        sign = -1 if (r - 1) % 2 else 1
-        for cols in _compositions(n, r):
-            pair_sums = [cols[k] + cols[k + 1] for k in range(r - 1)]
-            factors = {}
-            for c in pair_sums:
-                factors[2 * c] = factors.get(2 * c, 0) - 1
-            for c in cols:
-                for m, e in rank_denominator(c, data.num_points).items():
-                    factors[m] = factors.get(m, 0) + e
-            tops = [k * top for k in itertools.accumulate(cols[:-1])]
-            x0 = cols_term(cols) + 2 * (sum(pair_sums) - (n - cols[-1]) * d)
-            per_point = []
-            for p, ws in zip(data.points, weights):
-                rows = []
-                for tbl in _tables_for_point(p.mults, cols):
-                    inv, coinv = table_pairs(tbl, cols)
-                    entries = [a for row in tbl for a in row]
-                    flag = flag_denominator(entries, {}).items()
-                    prefix = []
-                    acc = 0
-                    for k in range(r - 1):
-                        acc += sum(row[k] * w for row, w in zip(tbl, ws))
-                        prefix.append(-n * acc)
-                    code = sum(-e * base ** (m // 2 - 1) for m, e in flag)
-                    rows.append((code, prefix, table_term(inv, coinv, sum(a * a for a in entries))))
-                per_point.append(rows)
-            local = {}
-            for head in itertools.product(*per_point[:-1]):
-                hcode = sum(t[0] for t in head)
-                hx = x0 + sum(t[2] for t in head)
-                hw = tops
-                for t in head:
-                    hw = [a + b for a, b in zip(hw, t[1])]
-                for code, prefix, e in per_point[-1]:
-                    x = hx + e + 2 * sum(
-                        c * ((a + b) // nd) for c, a, b in zip(pair_sums, hw, prefix)
-                    )
-                    xs = local.get(hcode + code)
-                    if xs is None:
-                        xs = local[hcode + code] = {}
-                    xs[x] = xs.get(x, 0) + sign
-            ranks = tuple(sorted(cols))
-            for code, xs in local.items():
-                fac = dict(factors)
-                for j in range(1, n + 1):
-                    code, cnt = divmod(code, base)
-                    fac[2 * j] = fac.get(2 * j, 0) - cnt
-                key = (ranks, tuple(sorted((m, e) for m, e in fac.items() if e)))
-                monomials = classes.setdefault(key, {})
-                for x, c in xs.items():
-                    monomials[x] = monomials.get(x, 0) + c
+    for cols, strata in _strata(data, weights, 1):
+        r = len(cols)
+        sign = (-1) ** (r - 1)
+        pair_sums = [cols[k] + cols[k + 1] for k in range(r - 1)]
+        factors = {}
+        for c in pair_sums:
+            factors[2 * c] = factors.get(2 * c, 0) - 1
+        for c in cols:
+            for m, e in rank_denominator(c, data.num_points).items():
+                factors[m] = factors.get(m, 0) + e
+        tops = [k * top for k in itertools.accumulate(cols[:-1])]
+        x0 = cols_term(cols) + 2 * (sum(pair_sums) - (n - cols[-1]) * d)
+        per_point = []
+        for tables in strata:
+            rows = []
+            for tbl, inv, coinv, nums in tables:
+                entries = [a for row in tbl for a in row]
+                flag = flag_denominator(entries, {}).items()
+                prefix = [-n * a for a in itertools.accumulate(nums[:-1])]
+                code = sum(-e * base ** (m // 2 - 1) for m, e in flag)
+                rows.append((code, prefix, table_term(inv, coinv, sum(a * a for a in entries))))
+            per_point.append(rows)
+        local = {}
+        for head in itertools.product(*per_point[:-1]):
+            hcode = sum(t[0] for t in head)
+            hx = x0 + sum(t[2] for t in head)
+            hw = tops
+            for t in head:
+                hw = [a + b for a, b in zip(hw, t[1])]
+            for code, prefix, e in per_point[-1]:
+                x = hx + e + 2 * sum(
+                    c * ((a + b) // nd) for c, a, b in zip(pair_sums, hw, prefix)
+                )
+                xs = local.get(hcode + code)
+                if xs is None:
+                    xs = local[hcode + code] = {}
+                xs[x] = xs.get(x, 0) + sign
+        ranks = tuple(sorted(cols))
+        for code, xs in local.items():
+            fac = dict(factors)
+            for j in range(1, n + 1):
+                code, cnt = divmod(code, base)
+                fac[2 * j] = fac.get(2 * j, 0) - cnt
+            key = (ranks, tuple(sorted((m, e) for m, e in fac.items() if e)))
+            monomials = classes.setdefault(key, {})
+            for x, c in xs.items():
+                monomials[x] = monomials.get(x, 0) + c
     return classes
 
 
@@ -244,28 +233,27 @@ def poincare_qclosed(instance, force=False):
     return _certify(pre * q_ratfunc(data, d, g), instance, "qclosed", ss_ok)
 
 
-def _integer_weights(cols, alphas):
-    """Weight sums as integer numerators over their lcm denominator D, and
-    the pairwise pairing floors ``floor(a_k n_l - a_l n_k) + 1`` (l < k) they
-    give, computed in integers; entries with l >= k are 0."""
-    den = math.lcm(*(Fraction(a).denominator for a in alphas))
-    nums = [int(a * den) for a in alphas]
+def _pairing_floors(cols, den, nums):
+    """Pairing floors ``floor(a_k n_l - a_l n_k) + 1`` (l < k) of weights
+    a_k = nums[k] / den, in integers; entries with l >= k are 0."""
     r = len(cols)
     lb = [[0] * r for _ in range(r)]
     for l in range(r):
         for k in range(l + 1, r):
             lb[l][k] = (nums[k] * cols[l] - nums[l] * cols[k]) // den + 1
-    return den, nums, lb
+    return lb
 
 
-def hn_degree_tuples(cols, alphas, d, pairing_bound):
+def hn_degree_tuples(cols, den, nums, d, pairing_bound):
     """Integer degree tuples with total ``d``, strictly decreasing block
     slopes, and cross pairing at most ``pairing_bound``.
 
-    The pairing of a tuple is ``sum over l < k of d_l n_k - d_k n_l`` and the
-    slope of block k is ``(d_k + alphas[k]) / cols[k]``.  Slope decrease makes
-    every pairwise pairing at least ``floor(a_k n_l - a_l n_k) + 1``, which
-    closes both ends of each search range:
+    Block k has rank ``cols[k]`` and weight a_k = ``nums[k] / den``, with
+    integer numerators over one positive denominator.  The pairing of a
+    tuple is ``sum over l < k of d_l n_k - d_k n_l`` and the slope of block
+    k is ``(d_k + a_k) / cols[k]``.  Slope decrease makes every pairwise
+    pairing at least ``floor(a_k n_l - a_l n_k) + 1``, which closes both
+    ends of each search range:
 
     * replacing all later choices by those pairwise floors gives a pairing
       lower bound that grows strictly with the degree picked now, so the
@@ -273,10 +261,8 @@ def hn_degree_tuples(cols, alphas, d, pairing_bound):
     * the remaining blocks must fit strictly under the current slope, which
       caps it from below.
 
-    The weight sums are scaled once to integers over their common
-    denominator, so every floor, ceiling and slope comparison is integer
-    arithmetic.  No artificial cutoff is involved, so the returned list is
-    complete.  Returns (tuple, pairing) pairs.
+    Every step is integer arithmetic, and no artificial cutoff is involved,
+    so the returned list is complete.  Returns (tuple, pairing) pairs.
     """
     if any(c < 1 for c in cols):
         raise ValueError(f"block ranks must be >= 1, got {tuple(cols)}")
@@ -284,13 +270,13 @@ def hn_degree_tuples(cols, alphas, d, pairing_bound):
     n = sum(cols)
     if r == 1:
         return [((d,), 0)] if pairing_bound >= 0 else []
-    den, a, lb = _integer_weights(cols, alphas)
+    lb = _pairing_floors(cols, den, nums)
     lbsuf = [0] * (r + 1)
     for j in range(r - 1, -1, -1):
         lbsuf[j] = lbsuf[j + 1] + sum(lb[j])
     asuf = [0] * (r + 1)
     for j in range(r - 1, -1, -1):
-        asuf[j] = asuf[j + 1] + a[j]
+        asuf[j] = asuf[j + 1] + nums[j]
     out = []
 
     def rec(j, deg_sum, pair_in, prefix):
@@ -298,13 +284,13 @@ def hn_degree_tuples(cols, alphas, d, pairing_bound):
         nj = cols[j]
         if j == r - 1:
             v = d - deg_sum
-            if (v * den + a[j]) * cols[j - 1] >= (prefix[-1] * den + a[j - 1]) * nj:
+            if (v * den + nums[j]) * cols[j - 1] >= (prefix[-1] * den + nums[j - 1]) * nj:
                 return
             pair_total = pair_in + nj * deg_sum - v * nprev
             if pair_total <= pairing_bound:
                 out.append((tuple(prefix) + (v,), pair_total))
             return
-        x = nj * ((d - deg_sum) * den + asuf[j + 1]) - (n - nprev - nj) * a[j]
+        x = nj * ((d - deg_sum) * den + asuf[j + 1]) - (n - nprev - nj) * nums[j]
         lo = x // (den * (n - nprev)) + 1
         c0 = (
             pair_in
@@ -316,7 +302,7 @@ def hn_degree_tuples(cols, alphas, d, pairing_bound):
         hi = (pairing_bound - c0) // (n - nprev)
         if j > 0:
             # block j's slope stays under block j-1's: v < cap / (den n_{j-1})
-            cap = (prefix[-1] * den + a[j - 1]) * nj - a[j] * cols[j - 1]
+            cap = (prefix[-1] * den + nums[j - 1]) * nj - nums[j] * cols[j - 1]
             hi = min(hi, -(-cap // (den * cols[j - 1])) - 1)
         for v in range(lo, hi + 1):
             rec(j + 1, deg_sum + v, pair_in + nj * deg_sum - v * nprev, prefix + [v])
@@ -338,12 +324,12 @@ class _Recursor:
         self.memo = {}
 
     def q_series(self, data, d, trunc):
-        cdata = canonical_form(data)
-        key = (cdata, d % cdata.rank)
+        """Stable count of canonical data (no zero rows) through trunc."""
+        key = (data, d % data.rank)
         hit = self.memo.get(key)
         if hit is not None and hit.trunc >= trunc:
             return hit
-        series = self._stable_count(cdata, key[1], trunc).exact_through(trunc)
+        series = self._stable_count(data, key[1], trunc).exact_through(trunc)
         self.memo[key] = series
         return series
 
@@ -352,16 +338,31 @@ class _Recursor:
         return self._compute(data, d, trunc)
 
     def _compute(self, data, d, trunc):
+        """The full-family count of canonical data minus every stratum of
+        two or more blocks, through trunc."""
         total = _block_q(data, self.genus).expand(trunc)
         if data.rank == 1:
             return total
-        for part in partitions(data, min_length=2):
-            total = total - self._partition_term(part, d, trunc)
+        den, weights = _integer_weights(data)
+        for cols, strata in _strata(data, weights, 2):
+            for tables in itertools.product(*strata):
+                # block k is column k of every table, zero rows dropped:
+                # zip(*pairs) is its (mults, weights) at one point
+                blocks = [
+                    _derived(
+                        zip(*((row[k], w) for row, w in zip(tbl, p.weights) if row[k]))
+                        for p, (tbl, *_) in zip(data.points, tables)
+                    )
+                    for k in range(len(cols))
+                ]
+                sigma = sum(t[1] for t in tables)
+                nums = [sum(col) for col in zip(*(t[3] for t in tables))]
+                total = total - self._partition_term(cols, blocks, sigma, den, nums, d, trunc)
         return total.exact_through(trunc).truncate(trunc)
 
-    def _partition_term(self, part, d, trunc):
-        """Sum over degree tuples of one block decomposition, exact through
-        trunc.
+    def _partition_term(self, cols, blocks, sigma, den, nums, d, trunc):
+        """Sum over degree tuples of one stratum (block ranks, canonical
+        blocks, sigma inversions, weights nums[k] / den), exact through trunc.
 
         The product of the block series depends only on the residues
         ``d_k mod n_k``; a tuple adds only the shift ``2(pairing - sigma)``.
@@ -371,12 +372,8 @@ class _Recursor:
         smallest shift is skipped; the bound argument to the enumerator makes
         the skipped tail rigorous."""
         g = self.genus
-        blocks = part.blocks()
-        r = part.length
-        cols = part.cols
-        sigma = inv_count(part)
-        alphas = [weight_sum(b) for b in blocks]
-        min_pairing = sum(map(sum, _integer_weights(cols, alphas)[2]))
+        r = len(cols)
+        min_pairing = sum(map(sum, _pairing_floors(cols, den, nums)))
         qhat_orders = [-_count_shift(b, g) for b in blocks]
         per_block = []
         certs = []
@@ -398,7 +395,7 @@ class _Recursor:
                 f"degree-tuple bound {bound} leaves terms below t^{trunc}"
             )
         classes = {}
-        for dvec, pairing in hn_degree_tuples(cols, alphas, d, bound):
+        for dvec, pairing in hn_degree_tuples(cols, den, nums, d, bound):
             shifts = classes.setdefault(
                 tuple(dk % nk for dk, nk in zip(dvec, cols)), {}
             )
@@ -445,7 +442,7 @@ def recursion_poincare(instance, truncation=None, force=False):
             f"truncation {n_master} cannot reach degree {2 * dim}"
         )
     c = _count_shift(data, g)
-    q = _Recursor(g).q_series(data, d, n_master - c)
+    q = _Recursor(g).q_series(canonical_form(data), d, n_master - c)
     p = q.shift(c) * _bridge(g).expand(n_master)
     bad = sorted(e for e in p.coeffs if e < 0)
     if bad:

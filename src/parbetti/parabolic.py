@@ -12,18 +12,20 @@ already-valid data (blocks, sub-data, canonical forms) is built by
 ``_derived`` without re-checking, and compares and hashes equal to the same
 rows built through ``make_data``.
 
-A Partition splits the data into r ordered blocks: at every point a matrix
+A stratum splits the data into r ordered blocks: at every point a table
 with the data's multiplicities as row sums and a common column-sum vector
-(the block ranks) across points.  These index the filtration strata that
-drive every formula downstream.  The recursion builds them (``partitions``);
-the closed routes walk the same compositions and tables without them.
+(the block ranks) across points.  The strata index every formula
+downstream, and all three series routes walk them through ``_strata``,
+which reads each point's tables once per composition of the rank into
+integer pair counts and block weights; no stratum object is built.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
 
 
 def _as_fraction(w):
@@ -42,7 +44,9 @@ class FlagPoint:
     weights: tuple
 
     def __post_init__(self):
-        mults = tuple(int(m) for m in self.mults)
+        mults = tuple(self.mults)
+        if not all(type(m) is int for m in mults):
+            raise TypeError(f"multiplicities must be ints, got {mults!r}")
         weights = tuple(_as_fraction(w) for w in self.weights)
         object.__setattr__(self, "mults", mults)
         object.__setattr__(self, "weights", weights)
@@ -119,9 +123,9 @@ class Instance:
     data: QPData
 
     def __post_init__(self):
-        if not isinstance(self.genus, int) or self.genus < 0:
+        if type(self.genus) is not int or self.genus < 0:
             raise ValueError("genus must be a non-negative integer")
-        if not isinstance(self.degree, int):
+        if type(self.degree) is not int:
             raise ValueError("degree must be an integer")
 
 
@@ -156,21 +160,17 @@ def canonical_form(data):
 
 def _bounded_compositions(total, bounds):
     """All tuples 0 <= v_i <= bounds_i with sum(v) == total, lexicographic."""
-    out = []
-
-    def rec(i, left, acc):
-        if i == len(bounds):
-            if left == 0:
-                out.append(tuple(acc))
-            return
-        tail = sum(bounds[i + 1 :])
-        lo = max(0, left - tail)
-        hi = min(bounds[i], left)
-        for v in range(lo, hi + 1):
-            rec(i + 1, left - v, acc + [v])
-
-    rec(0, total, [])
-    return out
+    tail = sum(bounds)
+    parts = [((), total)]
+    for b in bounds:
+        # tail is what the entries after this one can still take
+        tail -= b
+        parts = [
+            (acc + (v,), left - v)
+            for acc, left in parts
+            for v in range(max(0, left - tail), min(b, left) + 1)
+        ]
+    return [acc for acc, left in parts if left == 0]
 
 
 def subdata(data, rank_of_sub=None):
@@ -187,41 +187,11 @@ def subdata(data, rank_of_sub=None):
         if not 0 < r < n:
             raise ValueError("sub-rank must be strictly between 0 and the rank")
         per_point = [_bounded_compositions(r, p.mults) for p in data.points]
-        for combo in iproduct(*per_point):
+        for combo in itertools.product(*per_point):
             out.append(
                 _derived((mults, p.weights) for mults, p in zip(combo, data.points))
             )
     return out
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Ordered split of data into r blocks, one matrix per point.
-
-    tables[p][i][k] is how much of row i at point p lands in block k; row
-    sums reproduce the data multiplicities and column sums are the block
-    ranks, the same at every point.  The library builds one only in
-    ``partitions``, from tables valid by construction, so it is not
-    checked.
-    """
-
-    data: QPData
-    cols: tuple
-    tables: tuple
-
-    @property
-    def length(self):
-        return len(self.cols)
-
-    def block(self, k):
-        """Block k as data on the full weight rows (zeros retained)."""
-        return _derived(
-            (tuple(row[k] for row in tbl), p.weights)
-            for p, tbl in zip(self.data.points, self.tables)
-        )
-
-    def blocks(self):
-        return [self.block(k) for k in range(self.length)]
 
 
 def _compositions(n, r):
@@ -235,20 +205,6 @@ def _compositions(n, r):
     return out
 
 
-def partitions(data, min_length=1):
-    """All partitions of the data, by length then lexicographically."""
-    n = data.rank
-    out = []
-    for r in range(max(min_length, 1), n + 1):
-        for cols in _compositions(n, r):
-            per_point = []
-            for p in data.points:
-                per_point.append(_tables_for_point(p.mults, cols))
-            for tbls in iproduct(*per_point):
-                out.append(Partition(data, cols, tbls))
-    return out
-
-
 def _tables_for_point(mults, cols):
     """All matrices with the given row and column sums, row-major lex order."""
     results = []
@@ -259,15 +215,14 @@ def _tables_for_point(mults, cols):
             results.append(tuple(acc))
             return
         for row in _bounded_compositions(mults[i], remaining):
-            new_rem = tuple(a - b for a, b in zip(remaining, row))
-            rec(i + 1, new_rem, acc + [row])
+            rec(i + 1, tuple(a - b for a, b in zip(remaining, row)), acc + [row])
 
     rec(0, tuple(cols), [])
     return results
 
 
 # ---------------------------------------------------------------------------
-# numeric invariants of partitions and sub-data
+# numeric invariants of strata and sub-data
 
 
 def table_pairs(tbl, cols):
@@ -293,10 +248,33 @@ def table_pairs(tbl, cols):
     return inv, coinv
 
 
-def inv_count(part):
-    """Cross-block pairs where the later block sits deeper in the flag,
-    summed over the points."""
-    return sum(table_pairs(tbl, part.cols)[0] for tbl in part.tables)
+def _integer_weights(data):
+    """The lcm D of the weights' denominators, and each point's weights
+    scaled by D to ints."""
+    den = math.lcm(*(w.denominator for p in data.points for w in p.weights))
+    return den, [[w.numerator * (den // w.denominator) for w in p.weights] for p in data.points]
+
+
+def _strata(data, weights, min_length):
+    """``(cols, per_point)`` for each composition ``cols`` of the rank into
+    at least min_length parts, by length then lexicographically.
+
+    ``per_point`` lists each point's tables in row-major lex order, read
+    once as ``(table, inv, coinv, nums)``: its pair counts (``table_pairs``)
+    and each block column's weight numerator over the point's integer
+    ``weights``.  A stratum is one table per point; its invariants are sums.
+    """
+    n = data.rank
+    for r in range(min_length, n + 1):
+        for cols in _compositions(n, r):
+            per_point = []
+            for p, ws in zip(data.points, weights):
+                rows = []
+                for tbl in _tables_for_point(p.mults, cols):
+                    nums = [sum(a * w for a, w in zip(col, ws)) for col in zip(*tbl)]
+                    rows.append((tbl, *table_pairs(tbl, cols), nums))
+                per_point.append(rows)
+            yield cols, per_point
 
 
 def degree_at_slope(sub, lam):

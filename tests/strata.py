@@ -1,17 +1,79 @@
 """Stratum identities of the filtration recursion, used only by the tests.
 
-No route calls these: they restate the exponents of single strata and of
-sub-datum splits, and cut a partition into its first blocks and the rest,
-so the tests can check the combinatorial identities that the routes' closed
-sums rely on.  The partition-level exponent pieces (``coinv_count``,
-``linear_offset``, ``floor_sum``, ``floor_sum_genus``) read each partition's
-tables in exact rational arithmetic; they are the reference the closed
-routes' integer block sum is tested against.
+No route calls these.  A ``Partition`` is one stratum as an object: the
+data, its block ranks and one table per point; ``partitions`` lists them
+all, and is the reference the library's integer stratum walker
+(``parabolic._strata``) is tested against.  The other helpers restate the
+exponents of single strata and of sub-datum splits, and cut a partition
+into its first blocks and the rest, so the tests can check the
+combinatorial identities that the routes' sums rely on.  The
+partition-level exponent pieces (``inv_count``, ``coinv_count``,
+``linear_offset``, ``floor_sum``, ``floor_sum_genus``) read each
+partition's tables, in exact rational arithmetic where weights enter; they
+are the reference the routes' integer sums are tested against.
 """
 
+from dataclasses import dataclass
+from itertools import product as iproduct
 from math import floor
 
-from parbetti.parabolic import FlagPoint, Partition, QPData, _derived, inv_count
+from parbetti.parabolic import (
+    FlagPoint,
+    QPData,
+    _compositions,
+    _derived,
+    _tables_for_point,
+    table_pairs,
+)
+
+
+@dataclass(frozen=True)
+class Partition:
+    """Ordered split of data into r blocks, one matrix per point.
+
+    tables[p][i][k] is how much of row i at point p lands in block k; row
+    sums reproduce the data multiplicities and column sums are the block
+    ranks, the same at every point.  Built by ``partitions`` from tables
+    valid by construction, so it is not checked.
+    """
+
+    data: QPData
+    cols: tuple
+    tables: tuple
+
+    @property
+    def length(self):
+        return len(self.cols)
+
+    def block(self, k):
+        """Block k as data on the full weight rows (zeros retained)."""
+        return _derived(
+            (tuple(row[k] for row in tbl), p.weights)
+            for p, tbl in zip(self.data.points, self.tables)
+        )
+
+    def blocks(self):
+        return [self.block(k) for k in range(self.length)]
+
+
+def partitions(data, min_length=1):
+    """All partitions of the data, by length then lexicographically."""
+    n = data.rank
+    out = []
+    for r in range(max(min_length, 1), n + 1):
+        for cols in _compositions(n, r):
+            per_point = []
+            for p in data.points:
+                per_point.append(_tables_for_point(p.mults, cols))
+            for tbls in iproduct(*per_point):
+                out.append(Partition(data, cols, tbls))
+    return out
+
+
+def inv_count(part):
+    """Cross-block pairs where the later block sits deeper in the flag,
+    summed over the points."""
+    return sum(table_pairs(tbl, part.cols)[0] for tbl in part.tables)
 
 
 def prefix_data(part, j):

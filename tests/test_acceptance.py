@@ -51,9 +51,9 @@ from parbetti.counting import (
 from parbetti.engine import siegel_check
 from parbetti.parabolic import (
     _compositions,
+    _integer_weights,
+    _strata,
     degree_at_slope,
-    inv_count,
-    partitions,
     subdata,
 )
 from parbetti.rank2 import family_formula
@@ -68,7 +68,9 @@ from strata import (
     coinv_count,
     head,
     hom_euler,
+    inv_count,
     linear_offset,
+    partitions,
     prefix_data,
     split_inversions,
     stratum_exponent,
@@ -473,7 +475,11 @@ def test_09_brute_force_oracles():
     ladder = ("0", "1/7", "2/7")
     for shape in shapes:
         data = make_data([(m, ladder[: len(m)]) for m in shape])
-        mine = {(p.cols, p.tables) for p in partitions(data)}
+        mine = {
+            (cols, tables)
+            for cols, per_point in _strata(data, _integer_weights(data)[1], 1)
+            for tables in product(*([t[0] for t in ts] for ts in per_point))
+        }
         assert mine == brute_partitions([tuple(m) for m in shape])
         subs = {tuple(pt.mults for pt in s.points) for s in subdata(data)}
         assert subs == brute_subdata([tuple(m) for m in shape])

@@ -322,6 +322,20 @@ def test_sweep_bad_range(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_negative_genus_rejected_before_any_cell(tmp_path, capsys, monkeypatch):
+    def refuse(payload):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr(cli, "_sweep_cell", refuse)
+    path = _doc(tmp_path, CASE_A)
+    for text in ("-3..-1", "-1..1", "-2"):
+        assert main(["sweep", path, f"--genus-range={text}"]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: --genus-range: genus must be >= 0")
+
+
 def test_sweep_parallel_matches_serial(tmp_path, capsys, monkeypatch):
     path = _doc(tmp_path, CASE_A)
     argv = ["sweep", path, "--genus-range", "0..2", "--degree-range", "0..1",

@@ -30,19 +30,24 @@ from parbetti.engine import (
 from parbetti.laurent import LaurentPoly, LaurentSeries
 from parbetti.parabolic import (
     Instance,
-    Partition,
     _compositions,
     _tables_for_point,
+    canonical_form,
     flag_dim,
-    inv_count,
     make_data,
-    partitions,
     weight_sum,
 )
 from parbetti.ratfunc import FactoredRatFunc
 from parbetti.result import NonPolynomialResult
 
-from strata import coinv_count, floor_sum, floor_sum_genus, linear_offset
+from strata import (
+    coinv_count,
+    floor_sum,
+    floor_sum_genus,
+    inv_count,
+    linear_offset,
+    partitions,
+)
 
 R2 = make_data([((1, 1), ("0", "1/3"))])
 R3 = make_data([((1, 1, 1), ("0", "1/12", "3/12"))])
@@ -211,8 +216,8 @@ def test_siegel_check_sees_a_wrong_stable_count(monkeypatch):
 def test_siegel_check_sees_a_wrong_recursion_step(monkeypatch):
     step = engine._Recursor._partition_term
 
-    def shifted(self, part, d, trunc):
-        return step(self, part, d, trunc).shift(2)
+    def shifted(self, *args):
+        return step(self, *args).shift(2)
 
     monkeypatch.setattr(engine._Recursor, "_partition_term", shifted)
     assert siegel_check(R2, 2, 1, 20)[0] is False
@@ -279,6 +284,17 @@ def test_compare_catches_qclosed_disagreement(monkeypatch, tmp_path, capsys):
     assert out.endswith("verdict: DISAGREE closed vs qclosed first at t^3\n")
 
 
+def _over_one_denominator(alphas):
+    """Rational block weights as (den, integer numerators) over their lcm."""
+    den = math.lcm(*(Fraction(a).denominator for a in alphas))
+    return den, [int(a * den) for a in alphas]
+
+
+def _tuples(cols, alphas, d, bound):
+    """hn_degree_tuples on rational block weights."""
+    return hn_degree_tuples(cols, *_over_one_denominator(alphas), d, bound)
+
+
 def _brute_tuples(cols, alphas, d, bound, window):
     """Direct condition check over a degree window, for cross-checking."""
     r = len(cols)
@@ -308,7 +324,7 @@ def test_degree_tuple_enumeration_vs_brute():
         ((1, 2, 1), [Fraction(0), Fraction(5, 12), Fraction(1, 3)], 3, 20),
     ]
     for cols, alphas, d, bound in cases:
-        got = sorted(hn_degree_tuples(cols, alphas, d, bound))
+        got = sorted(_tuples(cols, alphas, d, bound))
         # every reported tuple satisfies the three defining conditions
         for dvec, pairing in got:
             assert sum(dvec) == d
@@ -324,13 +340,13 @@ def test_degree_tuple_enumeration_vs_brute():
 
 
 def test_degree_tuple_single_block():
-    assert hn_degree_tuples((3,), [Fraction(1, 2)], 7, 0) == [((7,), 0)]
-    assert hn_degree_tuples((3,), [Fraction(1, 2)], 7, -1) == []
+    assert _tuples((3,), [Fraction(1, 2)], 7, 0) == [((7,), 0)]
+    assert _tuples((3,), [Fraction(1, 2)], 7, -1) == []
 
 
 def test_degree_tuples_reject_empty_block():
     with pytest.raises(ValueError, match="block ranks"):
-        hn_degree_tuples((1, 0, 1), [Fraction(0)] * 3, 0, 5)
+        _tuples((1, 0, 1), [Fraction(0)] * 3, 0, 5)
 
 
 # -- residue-class regrouping of the recursion step --------------------------
@@ -343,7 +359,7 @@ LADDER_TWO = make_data(
 def _per_tuple_term(rec, part, d, trunc):
     """The recursion step with one series product per degree tuple."""
     g = rec.genus
-    blocks = part.blocks()
+    blocks = [canonical_form(b) for b in part.blocks()]
     r = part.length
     cols = part.cols
     sigma = inv_count(part)
@@ -362,7 +378,7 @@ def _per_tuple_term(rec, part, d, trunc):
         certs.append(min(s.order_bound() for s in by_residue.values()))
     bound = (trunc - sum(certs)) // 2 + sigma
     acc = LaurentSeries.zero(trunc)
-    for dvec, pairing in hn_degree_tuples(cols, alphas, d, bound):
+    for dvec, pairing in _tuples(cols, alphas, d, bound):
         shift = 2 * (pairing - sigma)
         while True:
             prod = None
@@ -395,7 +411,11 @@ def test_partition_term_matches_per_tuple_sum(genus):
     for d in range(3):
         grouped, per_tuple = engine._Recursor(genus), engine._Recursor(genus)
         for part in parts:
-            got = grouped._partition_term(part, d, trunc)
+            blocks = [canonical_form(b) for b in part.blocks()]
+            den, nums = _over_one_denominator([weight_sum(b) for b in blocks])
+            got = grouped._partition_term(
+                part.cols, blocks, inv_count(part), den, nums, d, trunc
+            )
             want = _per_tuple_term(per_tuple, part, d, trunc)
             assert got.trunc == want.trunc == trunc
             assert got.coeffs == want.coeffs, (part.cols, d)
@@ -440,7 +460,7 @@ def test_degree_tuple_enumeration_vs_brute_random():
         d = rng.randint(-5, 5)
         bound = rng.randint(-6, 14)
         window = 40 if r == 2 else 18
-        got = sorted(hn_degree_tuples(cols, alphas, d, bound))
+        got = sorted(_tuples(cols, alphas, d, bound))
         # every tuple found sits well inside the window searched
         assert all(abs(x) <= window // 2 for dvec, _ in got for x in dvec)
         assert got == _brute_tuples(cols, alphas, d, bound, window=window)
@@ -603,20 +623,6 @@ def test_block_classes_match_rational_reference(monkeypatch):
             negative += neg
         parts += len(partitions(data))
     assert negative > 100 and parts > 2000
-
-
-def test_closed_routes_build_no_partition(monkeypatch):
-    """The closed routes read tables, never Partition objects or blocks."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a closed route built a partition")
-
-    inst = Instance(2, 1, LADDER_R4_TWO)
-    want = poincare_closed(inst).poly
-    monkeypatch.setattr(Partition, "blocks", refuse)
-    monkeypatch.setattr(engine, "partitions", refuse)
-    assert poincare_closed(inst).poly == want
-    assert poincare_qclosed(inst).poly == want
 
 
 def test_closed_sum_adds_once_per_class(monkeypatch):

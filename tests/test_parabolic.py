@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import floor
 
 import pytest
@@ -7,15 +8,15 @@ from parbetti import compute
 from parbetti.parabolic import (
     FlagPoint,
     Instance,
-    Partition,
     QPData,
+    _bounded_compositions,
+    _integer_weights,
+    _strata,
     canonical_form,
     degree_at_slope,
     flag_dim,
-    inv_count,
     make_data,
     moduli_dim,
-    partitions,
     slope_coincidence_witness,
     ss_equals_stable,
     subdata,
@@ -24,13 +25,16 @@ from parbetti.parabolic import (
 
 from oracles import brute_partitions, brute_subdata
 from strata import (
+    Partition,
     coinv_count,
     complement,
     floor_sum,
     floor_sum_genus,
     head,
     hom_euler,
+    inv_count,
     linear_offset,
+    partitions,
     prefix_data,
     reembed,
     split_inversions,
@@ -61,6 +65,17 @@ def test_validation():
         QPData(())
     with pytest.raises(ValueError):
         Instance(-1, 0, make_data([full_flag(2)]))
+
+
+def test_validation_rejects_non_integers():
+    # a float or bool multiplicity, genus or degree is refused, not rounded
+    for mults in ((1.7, 1.2), (True, 1), (1, "1")):
+        with pytest.raises(TypeError, match="multiplicities must be ints"):
+            make_data([(mults, ("0", "1/3"))])
+    data = make_data([full_flag(2)])
+    for genus, degree in ((True, 0), (2, False), (1.0, 0), (2, 1.0)):
+        with pytest.raises(ValueError):
+            Instance(genus, degree, data)
 
 
 def test_weight_sum_and_dims():
@@ -130,6 +145,14 @@ def test_partition_counts():
     assert len(partitions(r4)) == 75
 
 
+def test_bounded_compositions_against_brute_force():
+    cases = [(0, ()), (1, ()), (0, (0, 0)), (3, (1, 2, 0, 2)), (4, (2, 2)),
+             (5, (2, 2)), (-1, (1, 1)), (2, (3,)), (6, (1, 3, 2, 0, 4))]
+    for total, bounds in cases:
+        want = [v for v in product(*(range(b + 1) for b in bounds)) if sum(v) == total]
+        assert _bounded_compositions(total, bounds) == want
+
+
 def test_partitions_against_brute_force():
     cases = [
         [(1, 1, 1)],
@@ -144,10 +167,23 @@ def test_partitions_against_brute_force():
     for mults in cases:
         weights = [[F(i, 8) for i in range(len(m))] for m in mults]
         data = make_data(list(zip(mults, weights)))
-        parts = partitions(data)
-        got = {(p.cols, p.tables) for p in parts}
-        assert len(got) == len(parts)
-        assert got == brute_partitions([tuple(m) for m in mults])
+        den, scaled = _integer_weights(data)
+        got = []
+        for cols, per_point in _strata(data, scaled, 1):
+            for tables in product(*per_point):
+                got.append((cols, tuple(t[0] for t in tables)))
+                part = Partition(data, cols, got[-1][1])
+                # each table's pair counts and block weights, summed over
+                # the points, are the stratum's
+                assert sum(t[1] for t in tables) == inv_count(part)
+                assert sum(t[2] for t in tables) == coinv_count(part)
+                nums = [sum(t[3][k] for t in tables) for k in range(len(cols))]
+                assert [F(a, den) for a in nums] == [weight_sum(b) for b in part.blocks()]
+        assert len(set(got)) == len(got)
+        assert got == [(p.cols, p.tables) for p in partitions(data)]
+        longer = [cols for cols, _ in _strata(data, scaled, 2)]
+        assert longer == list(dict.fromkeys(c for c, _ in got if len(c) >= 2))
+        assert set(got) == brute_partitions([tuple(m) for m in mults])
 
 
 def test_partition_structure():

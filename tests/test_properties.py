@@ -13,18 +13,15 @@ from parbetti import (
     make_data,
     weight_sum,
 )
-from parbetti.parabolic import (
-    _compositions,
-    degree_at_slope,
-    inv_count,
-    partitions,
-)
+from parbetti.parabolic import _compositions, degree_at_slope
 
 from strata import (
     coinv_count,
     head,
     hom_euler,
+    inv_count,
     linear_offset,
+    partitions,
     prefix_data,
     split_inversions,
     stratum_exponent,

@@ -75,6 +75,26 @@ def test_closed_block_sum_is_integer():
     assert _fraction_uses(engine, set(), within=closed) == []
 
 
+def test_no_partition_objects_in_src():
+    """One stratum representation: every route walks the integer tables of
+    ``parabolic._strata``, so no module defines a partition type or list,
+    and the engine imports nothing from fractions."""
+    engine = ast.parse((SRC / "engine.py").read_text(encoding="utf-8"))
+    modules = [a.name for n in ast.walk(engine) if isinstance(n, ast.Import) for a in n.names]
+    modules += [n.module for n in ast.walk(engine) if isinstance(n, ast.ImportFrom)]
+    assert "fractions" not in modules
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in tree.body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+            and node.name in {"Partition", "partitions", "inv_count"}
+        ]
+    assert found == []
+
+
 def _is_empty_container(node):
     """An empty ``{}`` or ``[]`` literal, or a bare ``dict()``, ``list()`` or
     ``set()`` call."""
