@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 invalid input or usage, 2 refusal on strictly
 semistable input (or an integral gap sum on the rank-2 route), 3 a failed
-certificate, or routes that disagree under compare.
+certificate, routes that disagree under compare, or a dead sweep worker.
 """
 
 from __future__ import annotations
@@ -319,6 +319,41 @@ def _sweep_cell(payload):
     return _cell_from_result(res)
 
 
+def _forked_cells(jobs, w):
+    """Cells of jobs in order over w stripes: forked child k (0 < k < w) runs
+    jobs[k::w] and pipes its cells back as one JSON list; stripe 0 runs here."""
+    children, outputs, codes = [], [], []
+    try:
+        for k in range(1, w):
+            rfd, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # only _exit: never unwind the caller's stack or flush its stdio
+                try:
+                    with open(wfd, "w", encoding="utf-8") as fh:
+                        json.dump([_sweep_cell(job) for job in jobs[k::w]], fh)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(wfd)
+            children.append((pid, open(rfd, encoding="utf-8")))
+        cells = [None] * len(jobs)
+        cells[::w] = [_sweep_cell(job) for job in jobs[::w]]
+        outputs = [fh.read() for _, fh in children]
+    finally:
+        for pid, fh in children:
+            fh.close()
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for k, (code, raw) in enumerate(zip(codes, outputs), 1):
+        if code != 0:
+            raise ChildProcessError(f"sweep worker {k} exited with status {code}")
+        try:
+            cells[k::w] = json.loads(raw)
+        except (ValueError, TypeError) as exc:  # not JSON, or not a list of one cell per job
+            raise ChildProcessError(f"sweep worker {k} sent unreadable output") from exc
+    return cells
+
+
 def _worker_count():
     raw = os.environ.get(WORKERS_VAR)
     if raw is None or not raw.strip():
@@ -346,14 +381,9 @@ def cmd_sweep(args, out=None):
         for g in genus_list
         for d in degree_list
     ]
-    workers = _worker_count()
-    if workers >= 2 and len(jobs) > 1:
-        # imported here: multiprocessing is costly to load and most runs never pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        # the pool starts all of its workers at once, so size it by the work
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            cells = list(pool.map(_sweep_cell, jobs))
+    workers = min(_worker_count(), len(jobs), os.cpu_count() or 1)
+    if workers >= 2 and hasattr(os, "fork"):
+        cells = _forked_cells(jobs, workers)
     else:
         cells = [_sweep_cell(job) for job in jobs]
     columns = []
@@ -472,7 +502,7 @@ def main(argv=None):
     except (StrictSemistable, IntegralPsi) as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return EXIT_REFUSED
-    except (NonPolynomialResult, TruncationTooSmall) as exc:
+    except (NonPolynomialResult, TruncationTooSmall, ChildProcessError) as exc:
         sys.stderr.write(f"internal check failed: {exc}\n")
         return EXIT_INTERNAL
 

@@ -23,9 +23,7 @@ adds the first per composition of block ranks and the second per table, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .laurent import LaurentPoly, NonDivisible, divide_exact, one_minus, one_plus
+from .laurent import LaurentPoly, NonDivisible, Record, divide_exact, one_minus, one_plus
 from .parabolic import flag_dim
 from .ratfunc import FactoredRatFunc
 
@@ -43,23 +41,20 @@ def q_minus_one_power(m):
     return LaurentPoly({m: 1, 0: -1})
 
 
-@dataclass(frozen=True)
-class CountExpr:
-    q_power: int = 0
-    qminus1_power: int = 0
-    zeta: tuple = ()
-    jac_power: int = 0
-    poly: LaurentPoly = field(default_factory=LaurentPoly.one)
+class CountExpr(Record):
+    __slots__ = ("q_power", "qminus1_power", "zeta", "jac_power", "poly")
 
-    def __post_init__(self):
+    def __init__(self, q_power=0, qminus1_power=0, zeta=(), jac_power=0, poly=None):
         z = {}
-        for j, e in self.zeta:
+        for j, e in zeta:
             j, e = int(j), int(e)
             if j < 1:
                 raise ValueError("zeta atom index must be >= 1")
             if e:
                 z[j] = z.get(j, 0) + e
-        object.__setattr__(self, "zeta", tuple(sorted((j, e) for j, e in z.items() if e)))
+        zeta = tuple(sorted((j, e) for j, e in z.items() if e))
+        poly = LaurentPoly.one() if poly is None else poly
+        Record.__init__(self, q_power, qminus1_power, zeta, jac_power, poly)
 
     def evaluate_q(self, x):
         """Numeric value at q = x; only legal without curve-dependent parts."""

@@ -405,13 +405,17 @@ class _Recursor:
         for rhos, shifts in classes.items():
             low = min(shifts)
             while True:
-                prod = per_block[0][rhos[0]]
-                for k in range(1, r):
-                    prod = prod * per_block[k][rhos[k]]
-                if prod.order_bound() + low > trunc:
-                    prod = None
+                factors = [per_block[k][rho] for k, rho in enumerate(rhos)]
+                orders = [s.order_bound() for s in factors]
+                # deeper terms of a factor, or a class with no room, land past trunc
+                room = trunc - low - sum(orders)
+                if room < 0:
                     break
+                prod = factors[0].truncate(room + orders[0])
+                for s, o in zip(factors[1:], orders[1:]):
+                    prod = prod * s.truncate(room + o)
                 if prod.trunc + low >= trunc:
+                    acc = acc + prod.mul_poly(LaurentPoly(shifts))
                     break
                 # a block series started later than its family count
                 # predicts; deepen every factor by the deficit and retry
@@ -420,8 +424,6 @@ class _Recursor:
                     per_block[k][rhos[k]] = self.q_series(
                         blocks[k], rhos[k], per_block[k][rhos[k]].trunc + bump
                     )
-            if prod is not None:
-                acc = acc + prod.truncate(trunc - low).mul_poly(LaurentPoly(shifts))
         return acc.exact_through(trunc)
 
 

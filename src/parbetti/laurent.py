@@ -18,8 +18,46 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import attrgetter
 
 MAX_TRUNCATION = 20000
+
+
+class Record:
+    """Immutable value: the fields are a subclass's ``__slots__``, set once
+    by its ``__init__`` (records hand them in order to ``Record.__init__``).
+    Unless overridden, equality, hash, repr and pickling go by the field
+    values, as for a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__slots__)  # a tuple only for two or more
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda r: (get(r),))
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # unpickling slot state would go through __setattr__
+        return type(self), self._values(self)
 
 
 class NonDivisible(ArithmeticError):
@@ -102,7 +140,7 @@ def _series(d, trunc):
     return out
 
 
-class LaurentPoly:
+class LaurentPoly(Record):
     """Immutable sparse Laurent polynomial {exponent: coefficient}, zeros dropped."""
 
     __slots__ = ("coeffs",)
@@ -115,9 +153,6 @@ class LaurentPoly:
                 if c:
                     d[int(e)] = c
         object.__setattr__(self, "coeffs", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
     @classmethod
     def zero(cls):
@@ -266,7 +301,7 @@ def divide_exact(num, den):
     return _poly({e + ns - ds: c for e, c in quot.items()})
 
 
-class LaurentSeries:
+class LaurentSeries(Record):
     """Laurent series known exactly through exponent trunc (inclusive).
 
     Coefficients with exponent > trunc are unknown, not zero.  Arithmetic
@@ -287,9 +322,6 @@ class LaurentSeries:
                     d[int(e)] = c
         object.__setattr__(self, "coeffs", d)
         object.__setattr__(self, "trunc", trunc)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentSeries is immutable")
 
     @classmethod
     def from_poly(cls, poly, trunc):

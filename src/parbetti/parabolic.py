@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .laurent import Record
 
 
 def _as_fraction(w):
@@ -38,18 +39,15 @@ def _as_fraction(w):
     raise TypeError(f"weight must be exact, got {type(w).__name__}")
 
 
-@dataclass(frozen=True)
-class FlagPoint:
-    mults: tuple
-    weights: tuple
+class FlagPoint(Record):
+    __slots__ = ("mults", "weights")
 
-    def __post_init__(self):
-        mults = tuple(self.mults)
+    def __init__(self, mults, weights):
+        mults = tuple(mults)
         if not all(type(m) is int for m in mults):
             raise TypeError(f"multiplicities must be ints, got {mults!r}")
-        weights = tuple(_as_fraction(w) for w in self.weights)
-        object.__setattr__(self, "mults", mults)
-        object.__setattr__(self, "weights", weights)
+        weights = tuple(_as_fraction(w) for w in weights)
+        Record.__init__(self, mults, weights)
         if len(mults) != len(weights) or not mults:
             raise ValueError("mults and weights must be nonempty and equally long")
         if any(m < 0 for m in mults):
@@ -69,19 +67,17 @@ class FlagPoint:
         return sum((m * w for m, w in zip(self.mults, self.weights) if m), Fraction(0))
 
 
-@dataclass(frozen=True)
-class QPData:
-    points: tuple
+class QPData(Record):
+    __slots__ = ("points",)
 
-    def __post_init__(self):
-        points = tuple(self.points)
-        object.__setattr__(self, "points", points)
-        if not points:
+    def __init__(self, points):
+        Record.__init__(self, tuple(points))
+        if not self.points:
             raise ValueError("data needs at least one marked point")
-        ranks = {p.rank for p in points}
+        ranks = {p.rank for p in self.points}
         if len(ranks) != 1:
             raise ValueError(f"points have different ranks {sorted(ranks)}")
-        if points[0].rank < 1:
+        if self.points[0].rank < 1:
             raise ValueError("rank must be >= 1")
 
     @property
@@ -116,17 +112,15 @@ def _derived(rows):
     return data
 
 
-@dataclass(frozen=True)
-class Instance:
-    genus: int
-    degree: int
-    data: QPData
+class Instance(Record):
+    __slots__ = ("genus", "degree", "data")
 
-    def __post_init__(self):
-        if type(self.genus) is not int or self.genus < 0:
+    def __init__(self, genus, degree, data):
+        if type(genus) is not int or genus < 0:
             raise ValueError("genus must be a non-negative integer")
-        if type(self.degree) is not int:
+        if type(degree) is not int:
             raise ValueError("degree must be an integer")
+        Record.__init__(self, genus, degree, data)
 
 
 def weight_sum(data):

@@ -7,11 +7,10 @@ machinery, so it cross-checks the general engines on rank-2 input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .laurent import LaurentPoly, one_plus
+from .laurent import LaurentPoly, Record, one_plus
 from .parabolic import canonical_form
 from .ratfunc import FactoredRatFunc
 from .result import result_from_poly
@@ -26,23 +25,21 @@ class IntegralPsi(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class Rank2Profile:
+class Rank2Profile(Record):
     """Rank-2 input reduced to what the subset-sum route consumes.
 
     deltas: per flagged point, low weight minus high weight, in (-1, 0).
     """
 
-    deltas: tuple
-    degree: int
-    genus: int
+    __slots__ = ("deltas", "degree", "genus")
 
-    def __post_init__(self):
-        for delta in self.deltas:
+    def __init__(self, deltas, degree, genus):
+        for delta in deltas:
             if not isinstance(delta, Fraction):
                 raise ValueError("gaps must be Fractions")
             if not (-1 < delta < 0):
                 raise ValueError(f"gap {delta} outside (-1, 0)")
+        Record.__init__(self, deltas, degree, genus)
 
     @property
     def num_flagged(self):

@@ -15,13 +15,14 @@ from __future__ import annotations
 from .laurent import (
     LaurentPoly,
     LaurentSeries,
+    Record,
     divide_exact,
     geometric_power,
     one_minus,
 )
 
 
-class FactoredRatFunc:
+class FactoredRatFunc(Record):
     """Immutable t^shift * numer * prod_k (1 - t^k)^{e_k}.
 
     Canonical form: numer is zero (then shift = 0, factors empty) or has
@@ -54,9 +55,6 @@ class FactoredRatFunc:
         object.__setattr__(self, "shift", int(shift))
         object.__setattr__(self, "numer", numer)
         object.__setattr__(self, "factors", fac)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FactoredRatFunc is immutable")
 
     @classmethod
     def zero(cls):

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .laurent import LaurentPoly
+from .laurent import Record
 
 
 class NonPolynomialResult(ArithmeticError):
@@ -15,14 +13,11 @@ class NonPolynomialResult(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
-class BettiResult:
-    dim: int
-    poly: LaurentPoly
-    betti: tuple
-    empty: bool
-    ss_eq_stable: bool
-    method: str
+class BettiResult(Record):
+    __slots__ = ("dim", "poly", "betti", "empty", "ss_eq_stable", "method")
+
+    def __init__(self, dim, poly, betti, empty, ss_eq_stable, method):
+        Record.__init__(self, dim, poly, betti, empty, ss_eq_stable, method)
 
     def middle_betti(self):
         """Betti numbers up to the middle dimension, the table convention."""

@@ -1,7 +1,7 @@
 """End-to-end checks of the command line interface."""
 
-import concurrent.futures
 import json
+import os
 
 import pytest
 
@@ -348,34 +348,99 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == serial
 
 
+def _count_forks(monkeypatch, cpus):
+    """Report cpus CPUs, and record the pid of every child os.fork starts."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return forks
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 def test_sweep_pool_no_larger_than_its_jobs(tmp_path, capsys, monkeypatch):
-    sizes = []
-
-    class SerialPool:
-        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
     path = _doc(tmp_path, CASE_A)
     argv = ["sweep", path, "--genus-range", "1..2", "--format", "csv"]
     monkeypatch.delenv("PARBETTI_WORKERS", raising=False)
     assert main(argv) == EXIT_OK
     serial = capsys.readouterr().out
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    forks = _count_forks(monkeypatch, cpus=64)
     monkeypatch.setenv("PARBETTI_WORKERS", "64")
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == serial
-    assert sizes == [2]
+    assert len(forks) == 1
+    _assert_reaped(forks)
+
+
+def test_sweep_forks_no_more_than_the_cpus(tmp_path, capsys, monkeypatch):
+    path = _doc(tmp_path, CASE_A)
+    argv = ["sweep", path, "--genus-range", "0..2", "--format", "csv"]
+    monkeypatch.delenv("PARBETTI_WORKERS", raising=False)
+    assert main(argv) == EXIT_OK
+    serial = capsys.readouterr().out
+    forks = _count_forks(monkeypatch, cpus=2)
+    monkeypatch.setenv("PARBETTI_WORKERS", "1000")
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == serial
+    assert len(forks) == 1
+    _assert_reaped(forks)
+
+
+def test_sweep_without_fork_runs_serially(tmp_path, capsys, monkeypatch):
+    path = _doc(tmp_path, CASE_A)
+    argv = ["sweep", path, "--genus-range", "1..2", "--format", "csv"]
+    monkeypatch.delenv("PARBETTI_WORKERS", raising=False)
+    assert main(argv) == EXIT_OK
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setenv("PARBETTI_WORKERS", "2")
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == serial
+
+
+@pytest.mark.parametrize("failure, message", [
+    ("exit", "sweep worker 1 exited with status 9"),
+    ("garble", "sweep worker 1 sent unreadable output"),
+])
+def test_sweep_dead_worker_exits_3(tmp_path, capsys, monkeypatch, failure, message):
+    parent, real_dump = os.getpid(), json.dump
+
+    def die(payload):
+        if os.getpid() != parent:
+            os._exit(9)
+        return {"middle": [1], "dim": 0, "empty": False, "error": None}
+
+    def garble(obj, fh):
+        if os.getpid() == parent:
+            return real_dump(obj, fh)
+        fh.write("[{not json")
+
+    forks = _count_forks(monkeypatch, cpus=2)
+    if failure == "exit":
+        monkeypatch.setattr(cli, "_sweep_cell", die)
+    else:
+        monkeypatch.setattr(json, "dump", garble)
+    monkeypatch.setenv("PARBETTI_WORKERS", "2")
+    path = _doc(tmp_path, CASE_A)
+    assert main(["sweep", path, "--genus-range", "1..2"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal check failed: {message}\n"
+    assert len(forks) == 1
+    _assert_reaped(forks)
 
 
 def test_sweep_bad_worker_var(tmp_path, capsys, monkeypatch):

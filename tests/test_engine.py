@@ -1,6 +1,5 @@
 """Engine routes: agreement, guards, enumeration soundness."""
 
-import dataclasses
 import json
 import math
 import random
@@ -38,7 +37,7 @@ from parbetti.parabolic import (
     weight_sum,
 )
 from parbetti.ratfunc import FactoredRatFunc
-from parbetti.result import NonPolynomialResult
+from parbetti.result import BettiResult, NonPolynomialResult
 
 from strata import (
     coinv_count,
@@ -264,7 +263,7 @@ def _qclosed_with_b3_bumped(instance, force=False):
     betti = list(res.betti)
     betti[3] += 1
     poly = res.poly + LaurentPoly({3: 1})
-    return dataclasses.replace(res, poly=poly, betti=tuple(betti))
+    return BettiResult(res.dim, poly, tuple(betti), res.empty, res.ss_eq_stable, res.method)
 
 
 def test_compare_catches_qclosed_disagreement(monkeypatch, tmp_path, capsys):

@@ -1,6 +1,9 @@
 """Rules about the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "parbetti"
@@ -20,6 +23,13 @@ def test_no_assert_statements():
         ]
     assert found == []
 
+
+
+def _imported_modules(tree):
+    """Names of the modules a module imports, relative ones as written."""
+    modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    modules += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    return modules
 
 
 def _scopes(tree):
@@ -57,9 +67,7 @@ def test_coefficients_are_ints():
     """One coefficient type: ratfunc never meets a Fraction, and laurent
     names one only to accept an integral one and to evaluate at a point."""
     ratfunc = ast.parse((SRC / "ratfunc.py").read_text(encoding="utf-8"))
-    modules = [a.name for n in ast.walk(ratfunc) if isinstance(n, ast.Import) for a in n.names]
-    modules += [n.module for n in ast.walk(ratfunc) if isinstance(n, ast.ImportFrom)]
-    assert "fractions" not in modules
+    assert "fractions" not in _imported_modules(ratfunc)
     assert _fraction_uses(ratfunc, set()) == []
 
     laurent = ast.parse((SRC / "laurent.py").read_text(encoding="utf-8"))
@@ -80,9 +88,7 @@ def test_no_partition_objects_in_src():
     ``parabolic._strata``, so no module defines a partition type or list,
     and the engine imports nothing from fractions."""
     engine = ast.parse((SRC / "engine.py").read_text(encoding="utf-8"))
-    modules = [a.name for n in ast.walk(engine) if isinstance(n, ast.Import) for a in n.names]
-    modules += [n.module for n in ast.walk(engine) if isinstance(n, ast.ImportFrom)]
-    assert "fractions" not in modules
+    assert "fractions" not in _imported_modules(engine)
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -139,3 +145,37 @@ def test_no_module_level_caches():
             and any(_decorator_name(d) in {"cache", "lru_cache"} for d in node.decorator_list)
         ]
     assert found == []
+
+
+HEAVY = ("dataclasses", "concurrent", "multiprocessing")
+
+
+def test_no_heavy_stdlib_imports():
+    """Every parbetti process pays at start-up for what the package imports:
+    no module imports dataclasses (which loads inspect, ast and dis) or a
+    process pool; sweeps fork their workers with os.fork."""
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+        if name.split(".")[0] in HEAVY
+    ]
+    assert found == []
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    probe = (
+        "import sys, parbetti.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'concurrent.futures', "
+        "'multiprocessing') if m in sys.modules))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
