@@ -23,9 +23,9 @@ adds the first per composition of block ranks and the second per table, and
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, NonDivisible, Record, divide_exact, one_minus, one_plus
+from .laurent import LaurentPoly, NonDivisible, Record, divide_exact, one_plus
 from .parabolic import flag_dim
-from .ratfunc import FactoredRatFunc
+from .ratfunc import FactoredRatFunc, _times_one_plus
 
 
 class ZetaAtomPole(ArithmeticError):
@@ -165,10 +165,7 @@ def flag_series(data):
 
 
 def _odd_plus_product(n, genus, start=1):
-    p = LaurentPoly.one()
-    for i in range(start, n + 1):
-        p = p * one_plus(2 * i - 1) ** (2 * genus)
-    return p
+    return _times_one_plus({0: 1}, [2 * i - 1 for i in range(start, n + 1)] * (2 * genus))
 
 
 def _mass_factors(n):

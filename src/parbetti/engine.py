@@ -31,9 +31,8 @@ from __future__ import annotations
 import itertools
 
 from . import rank2 as _rank2
-from .counting import _odd_plus_product, block_factor, flag_denominator, rank_denominator
+from .counting import block_factor, flag_denominator, rank_denominator
 from .laurent import LaurentPoly, LaurentSeries, NonDivisible, TruncationTooSmall
-from .laurent import one_minus
 from .parabolic import (
     _derived,
     _integer_weights,
@@ -43,7 +42,7 @@ from .parabolic import (
     moduli_dim,
     slope_coincidence_witness,
 )
-from .ratfunc import FactoredRatFunc
+from .ratfunc import FactoredRatFunc, _times_one_plus
 from .result import NonPolynomialResult, result_from_poly
 
 
@@ -86,7 +85,7 @@ def _block_q(block, genus):
 def _bridge(genus):
     """Shift-free prefactor (1 - t)^(2g) (1 - t^2)^(1 - 2g) that turns a
     count function into the Betti polynomial; each route adds its shift."""
-    return FactoredRatFunc(0, one_minus(1) ** (2 * genus), {2: 1 - 2 * genus})
+    return FactoredRatFunc(0, LaurentPoly.one(), {1: 2 * genus, 2: 1 - 2 * genus})
 
 
 def _certify(func, instance, method, ss_ok):
@@ -179,15 +178,12 @@ def _block_classes(data, d, cols_term, table_term):
 
 def _block_sum(data, genus, d, cols_term, table_term):
     """The alternating block decomposition sum behind both closed routes:
-    each class of ``_block_classes`` is one integer polynomial, multiplied
-    by its rank numerators once and added as one rational function."""
-    numerators = [_odd_plus_product(c, genus) for c in range(data.rank + 1)]
+    each class of ``_block_classes`` is one integer polynomial times its
+    blocks' numerators prod_{i<=c} (1 + t^{2i-1})^{2g}, added as one term."""
     total = FactoredRatFunc.zero()
     for (ranks, factors), monomials in _block_classes(data, d, cols_term, table_term).items():
-        numer = LaurentPoly(monomials)
-        for c in ranks:
-            numer = numer * numerators[c]
-        total = total + FactoredRatFunc(0, numer, dict(factors))
+        odd = [2 * i - 1 for c in ranks for i in range(1, c + 1)] * (2 * genus)
+        total = total + FactoredRatFunc(0, _times_one_plus(monomials, odd), dict(factors))
     return total
 
 

@@ -11,13 +11,13 @@ and tracks how far it is exact, so products of truncated series never
 silently pretend to more precision than they have.
 
 Every product and sum of polynomials and series runs through the two
-coefficient-dict kernels ``_product`` and ``_sum``.
+coefficient-dict kernels ``_product`` and ``_sum``; ``ratfunc`` applies its
+factors 1 - t^k by linear passes over a dense coefficient list instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from operator import attrgetter
 
 MAX_TRUNCATION = 20000
@@ -324,10 +324,6 @@ class LaurentSeries(Record):
         object.__setattr__(self, "trunc", trunc)
 
     @classmethod
-    def from_poly(cls, poly, trunc):
-        return cls(dict(poly.coeffs), trunc)
-
-    @classmethod
     def zero(cls, trunc):
         return cls({}, trunc)
 
@@ -415,14 +411,3 @@ class LaurentSeries(Record):
         parts = [f"{c}*t^{e}" for e, c in sorted(self.coeffs.items())]
         return "LaurentSeries(" + " + ".join(parts) + f" + O(t^{self.trunc + 1}))"
 
-
-def geometric_power(k, m, trunc):
-    """The series (1 - t^k)^(-m) through trunc, for k >= 1, m >= 1."""
-    if k < 1 or m < 1:
-        raise ValueError("geometric_power needs k >= 1, m >= 1")
-    d = {}
-    j = 0
-    while k * j <= trunc:
-        d[k * j] = comb(m - 1 + j, m - 1)
-        j += 1
-    return _series(d, trunc)

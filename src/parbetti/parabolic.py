@@ -63,9 +63,6 @@ class FlagPoint(Record):
     def rank(self):
         return sum(self.mults)
 
-    def weight_sum(self):
-        return sum((m * w for m, w in zip(self.mults, self.weights) if m), Fraction(0))
-
 
 class QPData(Record):
     __slots__ = ("points",)
@@ -123,11 +120,6 @@ class Instance(Record):
         Record.__init__(self, genus, degree, data)
 
 
-def weight_sum(data):
-    """Total weight: sum over points of multiplicity-weighted flag weights."""
-    return sum((p.weight_sum() for p in data.points), Fraction(0))
-
-
 def flag_dim(data):
     """Dimension of the product of flag varieties attached to the data."""
     total = 0
@@ -165,27 +157,6 @@ def _bounded_compositions(total, bounds):
             for v in range(max(0, left - tail), min(b, left) + 1)
         ]
     return [acc for acc, left in parts if left == 0]
-
-
-def subdata(data, rank_of_sub=None):
-    """All proper sub-data of the given data, zero rows retained.
-
-    A sub-datum takes componentwise multiplicities <= the data's with equal
-    per-point sums strictly between 0 and the full rank.  Deterministic
-    order: by sub-rank, then per point lexicographically.
-    """
-    n = data.rank
-    ranks = [rank_of_sub] if rank_of_sub is not None else list(range(1, n))
-    out = []
-    for r in ranks:
-        if not 0 < r < n:
-            raise ValueError("sub-rank must be strictly between 0 and the rank")
-        per_point = [_bounded_compositions(r, p.mults) for p in data.points]
-        for combo in itertools.product(*per_point):
-            out.append(
-                _derived((mults, p.weights) for mults, p in zip(combo, data.points))
-            )
-    return out
 
 
 def _compositions(n, r):
@@ -271,21 +242,26 @@ def _strata(data, weights, min_length):
             yield cols, per_point
 
 
-def degree_at_slope(sub, lam):
-    """Degree a bundle on this sub-datum needs to sit exactly at slope lam."""
-    return Fraction(sub.rank) * lam - weight_sum(sub)
-
-
 def slope_coincidence_witness(data, degree):
     """A proper sub-datum whose slope can match the total slope, or None.
 
-    Returns (sub, e) where e is the integer degree achieving the match.
+    Returns (sub, e) where e = r (degree + W) / n - A is an integer, for a
+    sub-datum of rank r and weight A (W the data's), in integers over the
+    weights' lcm denominator.  Sub-data come by rank, then per point
+    lexicographically; only the first hit is built.
     """
-    lam = Fraction(degree + weight_sum(data), data.rank)
-    for sub in subdata(data):
-        d = degree_at_slope(sub, lam)
-        if d.denominator == 1:
-            return sub, int(d)
+    n, pts = data.rank, data.points
+    den, weights = _integer_weights(data)
+    top = degree * den + sum(m * w for p, ws in zip(pts, weights) for m, w in zip(p.mults, ws))
+    for r in range(1, n):
+        per_point = [
+            [(c, sum(a * w for a, w in zip(c, ws))) for c in _bounded_compositions(r, p.mults)]
+            for p, ws in zip(pts, weights)
+        ]
+        for combo in itertools.product(*per_point):
+            e, rest = divmod(r * top - n * sum(a for _, a in combo), n * den)
+            if not rest:
+                return _derived((c, p.weights) for (c, _), p in zip(combo, pts)), e
     return None
 
 

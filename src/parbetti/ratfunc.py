@@ -8,18 +8,81 @@ makes exact series expansion and exact polynomial certification cheap.
 The three general routes share one such function, the engine's bridge
 prefactor: the closed routes multiply by it and certify, the recursion
 multiplies by its expansion, so no series is ever inverted.
+
+Every factor is 1 - t^k, so expansion, certification and sums run linear
+passes over one dense list of int coefficients, t^i at index i: multiplying
+by 1 - t^k (or 1 + t^k) subtracts (adds) the list shifted by k; a stride-k
+prefix sum divides a series by 1 - t^k (``_prefix``), and exactly divides a
+polynomial once its last k entries, top-down division's remainder, vanish.
 """
 
 from __future__ import annotations
 
-from .laurent import (
-    LaurentPoly,
-    LaurentSeries,
-    Record,
-    divide_exact,
-    geometric_power,
-    one_minus,
-)
+from itertools import accumulate
+
+from .laurent import MAX_TRUNCATION, LaurentPoly, LaurentSeries, NonDivisible, Record
+from .laurent import TruncationLimit, _poly, _series
+
+
+def _dense(coeffs, size, offset):
+    """The coefficients times t^offset as size ints, t^i at index i; every
+    exponent plus offset is >= 0, and those past the end drop."""
+    r = [0] * size
+    for e, c in coeffs.items():
+        if e + offset < size:
+            r[e + offset] = c
+    return r
+
+
+def _sparse(r, shift=0):
+    """The nonzero coefficients of t^shift * sum r[i] t^i, by exponent."""
+    return {i + shift: c for i, c in enumerate(r) if c}
+
+
+def _times(r, k):
+    """Multiply r by 1 - t^k in place; what passes its end drops."""
+    r[k:] = [a - b for a, b in zip(r[k:], r)]
+
+
+def _prefix(r, k):
+    """Divide the series r by 1 - t^k in place, through its last index."""
+    for j in range(min(k, len(r))):
+        r[j::k] = accumulate(r[j::k])
+
+
+def _divide(r, k):
+    """Divide the polynomial r by 1 - t^k exactly, dropping its last k
+    entries; the last of each residue class mod k holds the class total,
+    top-down division's remainder, and a nonzero one raises NonDivisible."""
+    _prefix(r, k)
+    cut = max(len(r) - k, 0)
+    rem = [i % k for i in range(cut, len(r)) if r[i]]
+    if rem:
+        raise NonDivisible(f"remainder of degree {max(rem)}")
+    del r[cut:]
+
+
+def _times_one_plus(coeffs, ks):
+    """The Laurent polynomial with these coefficients times prod_{k in ks} (1 + t^k)."""
+    low = min(coeffs)
+    r = _dense(coeffs, max(coeffs) - low + sum(ks) + 1, -low)
+    for k in ks:
+        r[k:] = [a + b for a, b in zip(r[k:], r)]
+    return _poly(_sparse(r, low))
+
+
+def _lift(coeffs, size, offset, factors, divide=_divide):
+    """``_dense(coeffs, size, offset)`` times prod_k (1 - t^k)^{e_k}: the
+    factors with e_k > 0 first, then those with e_k < 0 through divide."""
+    r = _dense(coeffs, size, offset)
+    fac = sorted(factors.items())
+    for k, e in fac:
+        for _ in range(e):
+            _times(r, k)
+    for k, e in fac:
+        for _ in range(-e):
+            divide(r, k)
+    return r
 
 
 class FactoredRatFunc(Record):
@@ -91,16 +154,11 @@ class FactoredRatFunc(Record):
         keys = set(self.factors) | set(other.factors)
         common = {k: min(self.factors.get(k, 0), other.factors.get(k, 0)) for k in keys}
         shift = min(self.shift, other.shift)
-
-        def lifted(f):
-            p = f.numer.shift(f.shift - shift)
-            for k in keys:
-                e = f.factors.get(k, 0) - common[k]
-                if e:
-                    p = p * one_minus(k) ** e
-            return p
-
-        return FactoredRatFunc(shift, lifted(self) + lifted(other), common)
+        # each side's numerator times its factors above the common ones
+        ups = [(f, {k: f.factors.get(k, 0) - common[k] for k in keys}) for f in (self, other)]
+        tops = [f.numer.max_exp() + f.shift + sum(k * e for k, e in up.items()) for f, up in ups]
+        a, b = (_lift(f.numer.coeffs, max(tops) - shift + 1, f.shift - shift, up) for f, up in ups)
+        return FactoredRatFunc(shift, _poly(_sparse([x + y for x, y in zip(a, b)])), common)
 
     def __sub__(self, other):
         return self + (-other)
@@ -116,28 +174,20 @@ class FactoredRatFunc(Record):
         if self.numer.is_zero() or work < 0:
             # zero function, or every exponent of the result is >= shift > trunc
             return LaurentSeries.zero(trunc)
-        series = LaurentSeries.from_poly(self.numer, work)
-        for k, e in sorted(self.factors.items()):
-            if e > 0:
-                series = series.mul_poly(one_minus(k) ** e)
-                series = series.truncate(work)
-            else:
-                series = series * geometric_power(k, -e, work)
-        return series.exact_through(work).truncate(work).shift(self.shift)
+        if work > MAX_TRUNCATION:
+            raise TruncationLimit(f"truncation {work} exceeds {MAX_TRUNCATION}")
+        r = _lift(self.numer.coeffs, work + 1, 0, self.factors, _prefix)
+        return _series(_sparse(r, self.shift), trunc)
 
     def to_laurent_poly(self):
         """Exact Laurent polynomial equal to this function.
 
         Raises NonDivisible if some denominator factor does not divide out.
         """
-        p = self.numer
-        for k, e in sorted(self.factors.items()):
-            if e > 0:
-                p = p * one_minus(k) ** e
-        for k, e in sorted(self.factors.items()):
-            for _ in range(-e if e < 0 else 0):
-                p = divide_exact(p, one_minus(k))
-        return p.shift(self.shift)
+        if self.numer.is_zero():
+            return self.numer
+        size = 1 + self.numer.max_exp() + sum(k * e for k, e in self.factors.items() if e > 0)
+        return _poly(_sparse(_lift(self.numer.coeffs, size, 0, self.factors), self.shift))
 
     def __repr__(self):
         fac = "".join(

@@ -7,6 +7,9 @@ against first principles.
 
 from functools import cache
 from itertools import combinations, product
+from math import comb
+
+from parbetti.laurent import LaurentSeries
 
 
 def all_vectors(q, n):
@@ -127,3 +130,9 @@ def brute_subdata(point_mults):
         if 0 < s < n and all(sum(c) == s for c in combo):
             found.add(combo)
     return found
+
+
+def geometric_power(k, m, trunc):
+    """The series (1 - t^k)^(-m) through trunc, for k >= 1, m >= 1, by the
+    negative binomial theorem: t^(kj) has coefficient C(m - 1 + j, j)."""
+    return LaurentSeries({k * j: comb(m - 1 + j, j) for j in range(trunc // k + 1)}, trunc)

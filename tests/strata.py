@@ -10,16 +10,20 @@ combinatorial identities that the routes' sums rely on.  The
 partition-level exponent pieces (``inv_count``, ``coinv_count``,
 ``linear_offset``, ``floor_sum``, ``floor_sum_genus``) read each
 partition's tables, in exact rational arithmetic where weights enter; they
-are the reference the routes' integer sums are tested against.
+are the reference the routes' integer sums are tested against.  Likewise
+``weight_sum``, ``subdata``, ``degree_at_slope`` and ``rational_witness``
+are the rational reference of the library's integer stability check.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product as iproduct
 from math import floor
 
 from parbetti.parabolic import (
     FlagPoint,
     QPData,
+    _bounded_compositions,
     _compositions,
     _derived,
     _tables_for_point,
@@ -231,3 +235,40 @@ def floor_sum_genus(part, lam, genus):
         for j in range(i + 1, part.length):
             pair += cols[i] * cols[j]
     return floor_sum(part, lam) + bumps + (genus - 1) * pair
+
+
+def weight_sum(data):
+    """Total weight: sum over points of multiplicity-weighted flag weights."""
+    return sum((m * w for p in data.points for m, w in zip(p.mults, p.weights)), Fraction(0))
+
+
+def subdata(data):
+    """All proper sub-data of the given data, zero rows retained.
+
+    A sub-datum takes componentwise multiplicities <= the data's with equal
+    per-point sums strictly between 0 and the full rank.  Deterministic
+    order: by sub-rank, then per point lexicographically.
+    """
+    out = []
+    for r in range(1, data.rank):
+        per_point = [_bounded_compositions(r, p.mults) for p in data.points]
+        for combo in iproduct(*per_point):
+            out.append(_derived((m, p.weights) for m, p in zip(combo, data.points)))
+    return out
+
+
+def degree_at_slope(sub, lam):
+    """Degree a bundle on this sub-datum needs to sit exactly at slope lam."""
+    return Fraction(sub.rank) * lam - weight_sum(sub)
+
+
+def rational_witness(data, degree):
+    """``slope_coincidence_witness`` in Fractions: the first of ``subdata``
+    whose degree at the total slope is an integer, with that degree, or
+    None."""
+    lam = Fraction(degree + weight_sum(data), data.rank)
+    for sub in subdata(data):
+        d = degree_at_slope(sub, lam)
+        if d.denominator == 1:
+            return sub, int(d)
+    return None

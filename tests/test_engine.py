@@ -34,7 +34,6 @@ from parbetti.parabolic import (
     canonical_form,
     flag_dim,
     make_data,
-    weight_sum,
 )
 from parbetti.ratfunc import FactoredRatFunc
 from parbetti.result import BettiResult, NonPolynomialResult
@@ -45,7 +44,7 @@ from strata import (
     floor_sum_genus,
     inv_count,
     linear_offset,
-    partitions,
+    partitions,    weight_sum,
 )
 
 R2 = make_data([((1, 1), ("0", "1/3"))])
@@ -154,7 +153,7 @@ def test_qclosed_matches_closed_rank4():
 def test_bridge_prefactor_expansion():
     """(1 - t)^(2g) (1 - t^2)^(1 - 2g) = (1 - t^2) / (1 + t)^(2g)."""
     one_minus_t2 = LaurentPoly({0: 1, 2: -1})
-    assert engine._bridge(0).expand(40) == LaurentSeries.from_poly(one_minus_t2, 40)
+    assert engine._bridge(0).expand(40) == LaurentSeries(one_minus_t2.coeffs, 40)
     for g in range(1, 9):
         inverse = {j: (-1) ** j * math.comb(2 * g - 1 + j, j) for j in range(41)}
         expected = LaurentSeries(inverse, 40).mul_poly(one_minus_t2)

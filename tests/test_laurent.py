@@ -8,11 +8,12 @@ from parbetti.laurent import (
     NonDivisible,
     TruncationLimit,
     divide_exact,
-    geometric_power,
     one_minus,
     one_plus,
 )
 from parbetti.ratfunc import FactoredRatFunc
+
+from oracles import geometric_power
 
 F = Fraction
 P = LaurentPoly
@@ -153,7 +154,7 @@ def test_integer_inputs_stay_integer():
         s * u, s + u, s - u, -s, s.mul_poly(p), s.shift(-2), s.truncate(3),
         s.mul_poly(LaurentPoly({0: 3})),
         divide_exact(p * one_minus(3), one_minus(3)),
-        geometric_power(2, 3, 12),
+        FactoredRatFunc(0, LaurentPoly.one(), {2: -3}).expand(12),
         FactoredRatFunc(2, q, {1: 2, 3: -1}).expand(15),
         FactoredRatFunc(-1, one_minus(6), {2: -1, 3: 1}).to_laurent_poly(),
         # integral Fractions are stored as ints

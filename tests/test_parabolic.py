@@ -13,14 +13,11 @@ from parbetti.parabolic import (
     _integer_weights,
     _strata,
     canonical_form,
-    degree_at_slope,
     flag_dim,
     make_data,
     moduli_dim,
     slope_coincidence_witness,
     ss_equals_stable,
-    subdata,
-    weight_sum,
 )
 
 from oracles import brute_partitions, brute_subdata
@@ -28,6 +25,7 @@ from strata import (
     Partition,
     coinv_count,
     complement,
+    degree_at_slope,
     floor_sum,
     floor_sum_genus,
     head,
@@ -40,7 +38,8 @@ from strata import (
     split_inversions,
     stratum_exponent,
     tail,
-    term_exponent,
+    term_exponent,    subdata,
+    weight_sum,
 )
 
 F = Fraction

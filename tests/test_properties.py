@@ -11,22 +11,23 @@ from parbetti import (
     compute,
     flag_dim,
     make_data,
-    weight_sum,
 )
-from parbetti.parabolic import _compositions, degree_at_slope
+from parbetti.parabolic import _compositions, slope_coincidence_witness
 
 from strata import (
     coinv_count,
+    degree_at_slope,
     head,
     hom_euler,
     inv_count,
     linear_offset,
     partitions,
     prefix_data,
+    rational_witness,
     split_inversions,
     stratum_exponent,
     tail,
-    term_exponent,
+    term_exponent,    weight_sum,
 )
 
 WEIGHT_POOL = sorted({Fraction(a, b) for b in range(1, 13) for a in range(b)})
@@ -168,6 +169,17 @@ def test_flag_dimension_drop_is_inv_plus_coinv(data, seed):
     for part in seed.sample(parts, min(len(parts), 10)):
         drop = flag_dim(data) - sum(flag_dim(b) for b in part.blocks())
         assert inv_count(part) + coinv_count(part) == drop
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=qp_datas(max_rank=4, max_points=3))
+def test_integer_witness_matches_rational_reference(data):
+    """The integer stability check names the same first sub-datum and
+    degree as the Fraction reference, or None with it, at every degree
+    across two full turns of the total slope."""
+    n = data.rank
+    for d in range(-2 * n, 2 * n + 1):
+        assert slope_coincidence_witness(data, d) == rational_witness(data, d), d
 
 
 # -- engine-level properties -------------------------------------------------

@@ -83,6 +83,15 @@ def test_closed_block_sum_is_integer():
     assert _fraction_uses(engine, set(), within=closed) == []
 
 
+def test_stability_check_is_integer():
+    """The stability check divides integers over the weights' common
+    denominator: neither it nor its caller names Fraction."""
+    parabolic = ast.parse((SRC / "parabolic.py").read_text(encoding="utf-8"))
+    check = {"slope_coincidence_witness", "ss_equals_stable"}
+    assert check <= {name for name, _ in _scopes(parabolic)}
+    assert _fraction_uses(parabolic, set(), within=check) == []
+
+
 def test_no_partition_objects_in_src():
     """One stratum representation: every route walks the integer tables of
     ``parabolic._strata``, so no module defines a partition type or list,
