@@ -56,29 +56,6 @@ class CountExpr(Record):
         poly = LaurentPoly.one() if poly is None else poly
         Record.__init__(self, q_power, qminus1_power, zeta, jac_power, poly)
 
-    def evaluate_q(self, x):
-        """Numeric value at q = x; only legal without curve-dependent parts."""
-        if self.zeta or self.jac_power:
-            raise ValueError("cannot evaluate zeta values or line-bundle counts numerically")
-        val = self.poly.evaluate(x) * x**self.q_power
-        return val * (x - 1) ** self.qminus1_power
-
-
-def gaussian_binomial(n, k):
-    """Number of k-dimensional subspaces of an n-space, as a polynomial in q."""
-    if not 0 <= k <= n:
-        return LaurentPoly.zero()
-    num = LaurentPoly.one()
-    den = LaurentPoly.one()
-    for i in range(k):
-        num = num * q_minus_one_power(n - i)
-        den = den * q_minus_one_power(i + 1)
-    return divide_exact(num, den)
-
-
-def grassmann_count(ambient_dim, sub_dim):
-    return CountExpr(poly=gaussian_binomial(ambient_dim, sub_dim))
-
 
 def flag_count(mults):
     """Number of flags with the given dimension jumps, zero jumps allowed."""

@@ -14,9 +14,10 @@ Three independent routes to the same polynomial:
 * ``recursion_poincare``: solves the filtration recursion numerically in
   truncated Laurent series with certified truncation bookkeeping, never
   citing the closed solution.  Each stratum's Harder-Narasimhan degree
-  tuples, found by an integer search, are grouped by their residues mod
-  the block ranks: one series product per class, times an exact polynomial
-  of the class's shifts.
+  tuples are found by an integer search, and the tuples of all strata are
+  grouped by the multiset of their (block, residue mod the block's rank)
+  pairs: one series product per multiset, times an exact polynomial of its
+  shifts.  All rank-1 blocks share one series, whatever their weights.
 
 All three end with the same shift-free bridge prefactor
 (1 - t)^(2g) (1 - t^2)^(1 - 2g), after a shift of their own; the recursion
@@ -312,12 +313,16 @@ class _Recursor:
 
     Degree enters only through its residue mod the rank: twisting by a line
     bundle of degree one shifts every degree tuple compatibly and leaves
-    both the pairing and the slope chain intact.
+    both the pairing and the slope chain intact.  A rank-1 block's count
+    does not depend on its weights (its flag dimension is 0 and its factors
+    see only multiplicities), so every rank-1 block with s points is the
+    one in ``lines[s]``, and they share one memo entry.
     """
 
     def __init__(self, genus):
         self.genus = genus
         self.memo = {}
+        self.lines = {}
 
     def q_series(self, data, d, trunc):
         """Stable count of canonical data (no zero rows) through trunc."""
@@ -335,92 +340,102 @@ class _Recursor:
 
     def _compute(self, data, d, trunc):
         """The full-family count of canonical data minus every stratum of
-        two or more blocks, through trunc."""
-        total = _block_q(data, self.genus).expand(trunc)
+        two or more blocks, through trunc.
+
+        A degree tuple of a stratum (sigma inversions) adds the product of
+        its block series times t^(2(pairing - sigma)), and the product
+        depends only on the multiset of (block, d_k mod n_k) pairs.  So the
+        first pass walks the strata: it fetches each block's series as deep
+        as the stratum's certificate needs, bounds the pairing so that the
+        skipped tuples land past trunc, and adds each residue class's shifts
+        into one exact polynomial per multiset.  The second pass makes one
+        product per multiset (``_group_term``).  Blocks are numbered by
+        their table columns, so a multiset is a sorted tuple of int pairs.
+        """
+        g = self.genus
+        total = _block_q(data, g).expand(trunc)
         if data.rank == 1:
             return total
+        line = self.lines.setdefault(
+            data.num_points, _derived(((1,), p.weights[:1]) for p in data.points)
+        )
         den, weights = _integer_weights(data)
+        ids = {}  # a block's table columns (rank 1: ()) -> its number
+        blocks = []  # number -> (canonical block, -count shift)
+        series = {}  # (number, residue) -> deepest series fetched
+        groups = {}  # sorted (number, residue) pairs -> {shift: count}
         for cols, strata in _strata(data, weights, 2):
             for tables in itertools.product(*strata):
-                # block k is column k of every table, zero rows dropped:
-                # zip(*pairs) is its (mults, weights) at one point
-                blocks = [
-                    _derived(
-                        zip(*((row[k], w) for row, w in zip(tbl, p.weights) if row[k]))
-                        for p, (tbl, *_) in zip(data.points, tables)
-                    )
-                    for k in range(len(cols))
-                ]
-                sigma = sum(t[1] for t in tables)
                 nums = [sum(col) for col in zip(*(t[3] for t in tables))]
-                total = total - self._partition_term(cols, blocks, sigma, den, nums, d, trunc)
+                sigma = sum(t[1] for t in tables)
+                ks = []
+                for k, c in enumerate(cols):
+                    key = tuple(row[k] for tbl, *_ in tables for row in tbl) if c > 1 else ()
+                    i = ids.get(key)
+                    if i is None:
+                        # block k is column k of every table, zero rows dropped:
+                        # zip(*pairs) is its (mults, weights) at one point
+                        b = line if c == 1 else _derived(
+                            zip(*((row[k], w) for row, w in zip(tbl, p.weights) if row[k]))
+                            for p, (tbl, *_) in zip(data.points, tables)
+                        )
+                        i = ids[key] = len(blocks)
+                        blocks.append((b, -_count_shift(b, g)))
+                    ks.append(i)
+                # a block's probe: trunc less the smallest shift and the
+                # other blocks' leading orders
+                spare = trunc - 2 * (sum(map(sum, _pairing_floors(cols, den, nums))) - sigma)
+                spare -= sum(blocks[i][1] for i in ks)
+                certs = []
+                for i in ks:
+                    b, order = blocks[i]
+                    fetched = [self.q_series(b, rho, spare + order) for rho in range(b.rank)]
+                    for rho, s in enumerate(fetched):
+                        series[i, rho] = s
+                    certs.append(min(s.order_bound() for s in fetched))
+                bound = (trunc - sum(certs)) // 2 + sigma
+                # anything past the bound sits beyond trunc after the shift
+                if 2 * (bound + 1 - sigma) + sum(certs) <= trunc:
+                    raise TruncationTooSmall(
+                        f"degree-tuple bound {bound} leaves terms below t^{trunc}"
+                    )
+                classes = {}
+                for dvec, pairing in hn_degree_tuples(cols, den, nums, d, bound):
+                    shifts = classes.setdefault(
+                        tuple(dk % nk for dk, nk in zip(dvec, cols)), {}
+                    )
+                    shift = 2 * (pairing - sigma)
+                    shifts[shift] = shifts.get(shift, 0) + 1
+                for rhos, shifts in classes.items():
+                    merged = groups.setdefault(tuple(sorted(zip(ks, rhos))), {})
+                    for e, c in shifts.items():
+                        merged[e] = merged.get(e, 0) + c
+        for pairs, shifts in groups.items():
+            total = total - self._group_term(pairs, shifts, blocks, series, trunc)
         return total.exact_through(trunc).truncate(trunc)
 
-    def _partition_term(self, cols, blocks, sigma, den, nums, d, trunc):
-        """Sum over degree tuples of one stratum (block ranks, canonical
-        blocks, sigma inversions, weights nums[k] / den), exact through trunc.
-
-        The product of the block series depends only on the residues
-        ``d_k mod n_k``; a tuple adds only the shift ``2(pairing - sigma)``.
-        So the tuples are grouped by residue class, each class's shifts
-        collected into one exact polynomial, and the block series multiplied
-        once per class.  A class whose certified order exceeds trunc at its
-        smallest shift is skipped; the bound argument to the enumerator makes
-        the skipped tail rigorous."""
-        g = self.genus
-        r = len(cols)
-        min_pairing = sum(map(sum, _pairing_floors(cols, den, nums)))
-        qhat_orders = [-_count_shift(b, g) for b in blocks]
-        per_block = []
-        certs = []
-        for k, b in enumerate(blocks):
-            probe = (
-                trunc
-                - 2 * (min_pairing - sigma)
-                - (sum(qhat_orders) - qhat_orders[k])
-            )
-            by_residue = {}
-            for rho in range(b.rank):
-                by_residue[rho] = self.q_series(b, rho, probe)
-            per_block.append(by_residue)
-            certs.append(min(s.order_bound() for s in by_residue.values()))
-        bound = (trunc - sum(certs)) // 2 + sigma
-        # anything past the bound sits beyond trunc after the shift
-        if 2 * (bound + 1 - sigma) + sum(certs) <= trunc:
-            raise TruncationTooSmall(
-                f"degree-tuple bound {bound} leaves terms below t^{trunc}"
-            )
-        classes = {}
-        for dvec, pairing in hn_degree_tuples(cols, den, nums, d, bound):
-            shifts = classes.setdefault(
-                tuple(dk % nk for dk, nk in zip(dvec, cols)), {}
-            )
-            shift = 2 * (pairing - sigma)
-            shifts[shift] = shifts.get(shift, 0) + 1
-        acc = LaurentSeries.zero(trunc)
-        for rhos, shifts in classes.items():
-            low = min(shifts)
-            while True:
-                factors = [per_block[k][rho] for k, rho in enumerate(rhos)]
-                orders = [s.order_bound() for s in factors]
-                # deeper terms of a factor, or a class with no room, land past trunc
-                room = trunc - low - sum(orders)
-                if room < 0:
-                    break
-                prod = factors[0].truncate(room + orders[0])
-                for s, o in zip(factors[1:], orders[1:]):
-                    prod = prod * s.truncate(room + o)
-                if prod.trunc + low >= trunc:
-                    acc = acc + prod.mul_poly(LaurentPoly(shifts))
-                    break
-                # a block series started later than its family count
-                # predicts; deepen every factor by the deficit and retry
-                bump = trunc - low - prod.trunc
-                for k in range(r):
-                    per_block[k][rhos[k]] = self.q_series(
-                        blocks[k], rhos[k], per_block[k][rhos[k]].trunc + bump
-                    )
-        return acc.exact_through(trunc)
+    def _group_term(self, pairs, shifts, blocks, series, trunc):
+        """The product of ``series[p]`` over the (block number, residue)
+        pairs, repeats allowed, times the exact polynomial ``shifts``, exact
+        through trunc; ``series`` and the memo are deepened as needed."""
+        low = min(shifts)
+        while True:
+            factors = [series[p] for p in pairs]
+            orders = [s.order_bound() for s in factors]
+            # deeper terms of a factor, or a group with no room, land past trunc
+            room = trunc - low - sum(orders)
+            if room < 0:
+                return LaurentSeries.zero(trunc)
+            prod = factors[0].truncate(room + orders[0])
+            for s, o in zip(factors[1:], orders[1:]):
+                prod = prod * s.truncate(room + o)
+            if prod.trunc + low >= trunc:
+                return prod.mul_poly(LaurentPoly(shifts))
+            # a block series started later than its family count
+            # predicts; deepen every factor by the deficit and retry
+            bump = trunc - low - prod.trunc
+            for i, rho in set(pairs):
+                series[i, rho] = self.q_series(blocks[i][0], rho, series[i, rho].trunc + bump)
 
 
 def recursion_poincare(instance, truncation=None, force=False):

@@ -2,9 +2,8 @@
 
 A LaurentPoly is a finite sum of c*t^e with integer e (negative allowed).
 A stored coefficient is a nonzero Python int: every numerator and series
-of the four routes is integral, so this is the only coefficient type.
-Values are a different matter: ``LaurentPoly.evaluate`` takes an int or
-fractions.Fraction point and returns a Fraction.
+of the four routes is integral, so this is the only coefficient type;
+``fractions.Fraction`` enters only as an integral coefficient to accept.
 
 A LaurentSeries carries its coefficients only up to a truncation exponent
 and tracks how far it is exact, so products of truncated series never
@@ -234,18 +233,6 @@ class LaurentPoly(Record):
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def evaluate(self, x):
-        """Exact value at t = x for an int or Fraction x, as a Fraction."""
-        if not isinstance(x, (int, Fraction)):
-            raise TypeError(f"evaluation point must be int or Fraction, got {x!r}")
-        x = Fraction(x)
-        if x == 0 and self.coeffs and self.min_exp() < 0:
-            raise ZeroDivisionError("negative exponent at t = 0")
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            total += c * x**e
-        return total
 
     def __repr__(self):
         if not self.coeffs:

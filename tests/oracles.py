@@ -1,15 +1,19 @@
 """Brute-force oracles, deliberately independent of the library internals.
 
-Everything here enumerates raw objects (vectors over a prime field, integer
-matrices) and counts them, so the fast implementations can be checked
-against first principles.
+The brute-force functions enumerate raw objects (vectors over a prime
+field, integer matrices) and count them, so the fast implementations can be
+checked against first principles.  The closed forms at the end (geometric
+series, Gaussian binomials, values at a point) are references that only the
+tests need.
 """
 
+from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 from math import comb
 
-from parbetti.laurent import LaurentSeries
+from parbetti.counting import CountExpr, q_minus_one_power
+from parbetti.laurent import LaurentPoly, LaurentSeries, divide_exact
 
 
 def all_vectors(q, n):
@@ -136,3 +140,38 @@ def geometric_power(k, m, trunc):
     """The series (1 - t^k)^(-m) through trunc, for k >= 1, m >= 1, by the
     negative binomial theorem: t^(kj) has coefficient C(m - 1 + j, j)."""
     return LaurentSeries({k * j: comb(m - 1 + j, j) for j in range(trunc // k + 1)}, trunc)
+
+
+def evaluate(poly, x):
+    """Exact value of a LaurentPoly at t = x for an int or Fraction x, as a
+    Fraction."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"evaluation point must be int or Fraction, got {x!r}")
+    x = Fraction(x)
+    if x == 0 and poly.coeffs and poly.min_exp() < 0:
+        raise ZeroDivisionError("negative exponent at t = 0")
+    return sum((c * x**e for e, c in poly.items()), Fraction(0))
+
+
+def evaluate_q(expr, x):
+    """Numeric value of a CountExpr at q = x; only legal without
+    curve-dependent parts."""
+    if expr.zeta or expr.jac_power:
+        raise ValueError("cannot evaluate zeta values or line-bundle counts numerically")
+    return evaluate(expr.poly, x) * x**expr.q_power * (x - 1) ** expr.qminus1_power
+
+
+def gaussian_binomial(n, k):
+    """Number of k-dimensional subspaces of an n-space, as a polynomial in q."""
+    if not 0 <= k <= n:
+        return LaurentPoly.zero()
+    num = LaurentPoly.one()
+    den = LaurentPoly.one()
+    for i in range(k):
+        num = num * q_minus_one_power(n - i)
+        den = den * q_minus_one_power(i + 1)
+    return divide_exact(num, den)
+
+
+def grassmann_count(ambient_dim, sub_dim):
+    return CountExpr(poly=gaussian_binomial(ambient_dim, sub_dim))

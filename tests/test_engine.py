@@ -212,12 +212,12 @@ def test_siegel_check_sees_a_wrong_stable_count(monkeypatch):
 
 
 def test_siegel_check_sees_a_wrong_recursion_step(monkeypatch):
-    step = engine._Recursor._partition_term
+    step = engine._Recursor._group_term
 
     def shifted(self, *args):
         return step(self, *args).shift(2)
 
-    monkeypatch.setattr(engine._Recursor, "_partition_term", shifted)
+    monkeypatch.setattr(engine._Recursor, "_group_term", shifted)
     assert siegel_check(R2, 2, 1, 20)[0] is False
     assert siegel_check(R3, 1, 1, 16)[0] is False
 
@@ -400,47 +400,110 @@ def _per_tuple_term(rec, part, d, trunc):
 
 
 @pytest.mark.parametrize("genus", [0, 1, 2])
-def test_partition_term_matches_per_tuple_sum(genus):
-    """Grouping degree tuples by residue class changes no coefficient."""
+def test_recursion_step_matches_per_tuple_sum(genus):
+    """Grouping degree tuples by block multiset changes no coefficient: the
+    step is the full count minus one per-tuple sum per stratum."""
     trunc = 16
     parts = partitions(LADDER_TWO, min_length=2)
     assert len(parts) > 10
     nonzero = 0
     for d in range(3):
-        grouped, per_tuple = engine._Recursor(genus), engine._Recursor(genus)
+        got = engine._Recursor(genus)._compute(LADDER_TWO, d, trunc)
+        per_tuple = engine._Recursor(genus)
+        want = engine._block_q(LADDER_TWO, genus).expand(trunc)
         for part in parts:
-            blocks = [canonical_form(b) for b in part.blocks()]
-            den, nums = _over_one_denominator([weight_sum(b) for b in blocks])
-            got = grouped._partition_term(
-                part.cols, blocks, inv_count(part), den, nums, d, trunc
-            )
-            want = _per_tuple_term(per_tuple, part, d, trunc)
-            assert got.trunc == want.trunc == trunc
-            assert got.coeffs == want.coeffs, (part.cols, d)
-            nonzero += bool(got.coeffs)
+            term = _per_tuple_term(per_tuple, part, d, trunc)
+            nonzero += bool(term.coeffs)
+            want = want - term
+        assert got.trunc == want.trunc == trunc
+        assert got.coeffs == want.coeffs, d
     assert nonzero > len(parts)
 
 
-def test_recursion_multiplies_once_per_residue_class(monkeypatch):
-    """Fewer series products than degree tuples: one per class, not per tuple."""
-    products, tuples = [], []
-    mul, enumerate_tuples = LaurentSeries.__mul__, engine.hn_degree_tuples
+def _count_products(monkeypatch):
+    """Counters of series products, shift multiplications and degree tuples."""
+    counts = {"mul": 0, "mul_poly": 0, "tuples": 0}
+    mul, mul_poly, enumerate_tuples = (
+        LaurentSeries.__mul__, LaurentSeries.mul_poly, engine.hn_degree_tuples
+    )
 
     def counted_mul(self, other):
-        products.append(1)
+        counts["mul"] += 1
         return mul(self, other)
+
+    def counted_mul_poly(self, poly):
+        counts["mul_poly"] += 1
+        return mul_poly(self, poly)
 
     def counted_tuples(*args):
         found = enumerate_tuples(*args)
-        tuples.extend(found)
+        counts["tuples"] += len(found)
         return found
 
     monkeypatch.setattr(LaurentSeries, "__mul__", counted_mul)
+    monkeypatch.setattr(LaurentSeries, "mul_poly", counted_mul_poly)
     monkeypatch.setattr(engine, "hn_degree_tuples", counted_tuples)
+    return counts
+
+
+def test_recursion_multiplies_once_per_residue_class(monkeypatch):
+    """Fewer series products than degree tuples, and fewer than residue
+    classes: classes of different strata with the same blocks share one
+    product.  One product per class and stratum made 221 series products
+    and 184 shift multiplications here; the enumeration is unchanged."""
+    counts = _count_products(monkeypatch)
     res = recursion_poincare(Instance(3, 0, LADDER_TWO))
     assert res.poly == poincare_closed(Instance(3, 0, LADDER_TWO)).poly
-    assert len(tuples) > 1000
-    assert len(products) < len(tuples)
+    assert counts["tuples"] == 1213
+    assert counts["mul"] <= 49
+    assert counts["mul_poly"] <= 47
+
+
+@pytest.mark.parametrize("genus", [0, 2])
+def test_rank1_count_ignores_weights(genus):
+    """Every rank-1 block may share one series: its count, by the
+    recursion and by the closed route, does not see the weights."""
+    a = make_data([((1,), ("0",)), ((1,), ("1/3",))])
+    b = make_data([((1,), ("5/7",)), ((1,), ("0",))])
+    line_a = engine._Recursor(genus).q_series(a, 0, 14)
+    assert line_a == engine._Recursor(genus).q_series(b, 1, 14)
+    assert q_ratfunc(a, 0, genus).expand(14) == q_ratfunc(b, 1, genus).expand(14)
+
+
+def test_recursor_keeps_one_rank1_entry():
+    """A rank-3 run memoises one rank-1 series, although its rank-2 blocks
+    start at other weights than the data."""
+    for data in (R3, LADDER_TWO):
+        rec = engine._Recursor(1)
+        rec.q_series(data, 1, 16)
+        assert [key for key in rec.memo if key[0].rank == 2]
+        assert len([key for key in rec.memo if key[0].rank == 1]) == 1
+
+
+def test_group_term_deepens_every_factor(monkeypatch):
+    """A product shorter than trunc deepens each distinct factor once per
+    retry, in place, and then equals the product of the deep series."""
+    rec = engine._Recursor(1)
+    line = make_data([((1,), ("0",))])
+    blocks = [(line, None), (R2, None)]
+    deep = {(0, 0): rec.q_series(line, 0, 30), (1, 1): rec.q_series(R2, 1, 30)}
+    series = {p: s.truncate(s.order_bound() + 1) for p, s in deep.items()}
+    fetched = []
+    q_series = engine._Recursor.q_series
+
+    def counted(self, data, d, trunc):
+        fetched.append((data, d))
+        assert len(fetched) <= 8, "deepening does not converge"
+        return q_series(self, data, d, trunc)
+
+    monkeypatch.setattr(engine._Recursor, "q_series", counted)
+    pairs, shifts = ((0, 0), (0, 0), (1, 1)), {0: 1, 4: 2}
+    got = rec._group_term(pairs, shifts, blocks, series, 12)
+    want = (deep[0, 0] * deep[0, 0] * deep[1, 1]).mul_poly(LaurentPoly(shifts))
+    assert got.trunc >= 12 and want.trunc >= 12
+    assert got.truncate(12) == want.truncate(12)
+    assert {(line, 0), (R2, 1)} == set(fetched)
+    assert series == deep
 
 
 def test_degree_tuple_enumeration_vs_brute_random():

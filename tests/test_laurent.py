@@ -13,7 +13,7 @@ from parbetti.laurent import (
 )
 from parbetti.ratfunc import FactoredRatFunc
 
-from oracles import geometric_power
+from oracles import evaluate, geometric_power
 
 F = Fraction
 P = LaurentPoly
@@ -48,22 +48,22 @@ def test_laurent_negative_exponents():
     p = P({-1: 1, 1: -1})
     q = divide_exact(p, one_minus(2))
     assert q.coeffs == {-1: F(1)}
-    assert p.evaluate(F(2)) == F(1, 2) - 2
+    assert evaluate(p, F(2)) == F(1, 2) - 2
     with pytest.raises(ZeroDivisionError):
-        p.evaluate(0)
+        evaluate(p, 0)
 
 
 def test_evaluate_returns_exact_fractions():
     values = [
-        P({0: 1, 1: 1}).evaluate(2),
-        P({-1: 3}).evaluate(F(1, 2)),
-        P({-2: 1, 1: 4}).evaluate(F(-2, 3)),
-        P.zero().evaluate(1),
+        evaluate(P({0: 1, 1: 1}), 2),
+        evaluate(P({-1: 3}), F(1, 2)),
+        evaluate(P({-2: 1, 1: 4}), F(-2, 3)),
+        evaluate(P.zero(), 1),
     ]
     assert values == [3, 6, F(9, 4) - F(8, 3), 0]
     assert all(type(v) is Fraction for v in values)
     with pytest.raises(TypeError):
-        P.one().evaluate(0.5)
+        evaluate(P.one(), 0.5)
 
 
 def test_coefficients_are_integers():

@@ -65,13 +65,13 @@ def _fraction_uses(tree, allowed, within=None):
 
 def test_coefficients_are_ints():
     """One coefficient type: ratfunc never meets a Fraction, and laurent
-    names one only to accept an integral one and to evaluate at a point."""
+    names one only to accept an integral one."""
     ratfunc = ast.parse((SRC / "ratfunc.py").read_text(encoding="utf-8"))
     assert "fractions" not in _imported_modules(ratfunc)
     assert _fraction_uses(ratfunc, set()) == []
 
     laurent = ast.parse((SRC / "laurent.py").read_text(encoding="utf-8"))
-    assert _fraction_uses(laurent, {"_coerce", "LaurentPoly.evaluate"}) == []
+    assert _fraction_uses(laurent, {"_coerce"}) == []
 
 
 def test_closed_block_sum_is_integer():
