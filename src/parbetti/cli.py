@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 invalid input or usage, 2 refusal on strictly
 semistable input (or an integral gap sum on the rank-2 route), 3 a failed
 certificate, routes that disagree under compare, or a dead sweep worker.
+A sweep of more than ``MAX_SWEEP_CELLS`` = 10 000 (genus, degree) cells
+is refused with exit 1 before any cell runs.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ EXIT_REFUSED = 2
 EXIT_INTERNAL = 3
 
 WORKERS_VAR = "PARBETTI_WORKERS"
+MAX_SWEEP_CELLS = 10_000
 
 
 class DocumentError(ValueError):
@@ -156,10 +159,16 @@ def _load_document(path):
             raw = fh.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise DocumentError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer past the int-string digit limit
+        raise DocumentError(f"{path}: invalid JSON number: {exc}") from exc
     return parse_document(obj)
 
 
@@ -286,8 +295,9 @@ def cmd_compare(args, out=None):
 
 
 def _parse_range(text, fallback):
+    """The inclusive range ``A..B`` or single value in text, as a range."""
     if text is None:
-        return [fallback]
+        return range(fallback, fallback + 1)
     s = text.strip()
     if ".." in s:
         a, b = s.split("..", 1)
@@ -297,11 +307,12 @@ def _parse_range(text, fallback):
             raise DocumentError(f"bad range {text!r}") from exc
         if hi < lo:
             raise DocumentError(f"bad range {text!r}: end below start")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     try:
-        return [int(s)]
+        lo = int(s)
     except ValueError as exc:
         raise DocumentError(f"bad range {text!r}") from exc
+    return range(lo, lo + 1)
 
 
 def _sweep_cell(payload):
@@ -368,18 +379,22 @@ def _worker_count():
 def cmd_sweep(args, out=None):
     out = out or sys.stdout
     instance, options = _load_document(args.input)
-    genus_list = _parse_range(args.genus_range, instance.genus)
-    if genus_list[0] < 0:
-        raise DocumentError(f"--genus-range: genus must be >= 0, got {genus_list[0]}")
-    degree_list = _parse_range(args.degree_range, instance.degree)
+    genera = _parse_range(args.genus_range, instance.genus)
+    if genera[0] < 0:
+        raise DocumentError(f"--genus-range: genus must be >= 0, got {genera[0]}")
+    degrees = _parse_range(args.degree_range, instance.degree)
+    # stop - start, not len(): len() overflows past sys.maxsize
+    cells = (genera.stop - genera.start) * (degrees.stop - degrees.start)
+    if cells > MAX_SWEEP_CELLS:
+        raise DocumentError(f"sweep of {cells} cells exceeds the limit of {MAX_SWEEP_CELLS}")
     specs = tuple(
         (tuple(pt.mults), tuple(str(w) for w in pt.weights))
         for pt in instance.data.points
     )
     jobs = [
         (g, d, specs, options["method"], options["truncation"], options["force"])
-        for g in genus_list
-        for d in degree_list
+        for g in genera
+        for d in degrees
     ]
     workers = min(_worker_count(), len(jobs), os.cpu_count() or 1)
     if workers >= 2 and hasattr(os, "fork"):
@@ -388,9 +403,9 @@ def cmd_sweep(args, out=None):
         cells = [_sweep_cell(job) for job in jobs]
     columns = []
     for (g, d, *_), cell in zip(jobs, cells):
-        if len(degree_list) == 1:
+        if len(degrees) == 1:
             label = f"$g={g}$"
-        elif len(genus_list) == 1:
+        elif len(genera) == 1:
             label = f"$d={d}$"
         else:
             label = f"$g={g},d={d}$"

@@ -1,13 +1,17 @@
 """Betti number engines for the parabolic moduli spaces.
 
-Three independent routes to the same polynomial:
+Three independent routes to the same polynomial (``compute`` also runs the
+rank-2 subset-sum route of ``rank2``).  Each block of a decomposition
+enters through its substituted count, the per-block factor of
+``counting``:
 
 * ``poincare_closed``: direct closed formula, a finite alternating sum over
   block decompositions of the flag data, assembled in exact factored
   rational-function arithmetic and certified by exact division.  The
   decompositions are never built: an integer walk over each point's tables
   sums them per (block ranks, denominator) class, Zagier's regrouping by
-  block type, into one integer polynomial per class times rank numerators.
+  block type, into one integer polynomial per class times the blocks'
+  numerators (``counting._odd_plus_product``).
 * ``poincare_qclosed``: the point-count route.  The same block sum with
   the exponents of the stable-count generating function, bridged back to
   Betti numbers; ``compare_methods`` checks it against the first route.
@@ -32,7 +36,7 @@ from __future__ import annotations
 import itertools
 
 from . import rank2 as _rank2
-from .counting import block_factor, flag_denominator, rank_denominator
+from .counting import _odd_plus_product, block_factor, flag_denominator, rank_denominator
 from .laurent import LaurentPoly, LaurentSeries, NonDivisible, TruncationTooSmall
 from .parabolic import (
     _derived,
@@ -43,7 +47,7 @@ from .parabolic import (
     moduli_dim,
     slope_coincidence_witness,
 )
-from .ratfunc import FactoredRatFunc, _times_one_plus
+from .ratfunc import FactoredRatFunc
 from .result import NonPolynomialResult, result_from_poly
 
 
@@ -97,7 +101,7 @@ def _certify(func, instance, method, ss_ok):
         raise NonPolynomialResult(
             f"{method} route did not produce a polynomial: {exc}"
         ) from exc
-    return result_from_poly(poly, dim, method, ss_ok, enforce=ss_ok)
+    return result_from_poly(poly, dim, method, ss_ok)
 
 
 def _block_classes(data, d, cols_term, table_term):
@@ -183,8 +187,8 @@ def _block_sum(data, genus, d, cols_term, table_term):
     blocks' numerators prod_{i<=c} (1 + t^{2i-1})^{2g}, added as one term."""
     total = FactoredRatFunc.zero()
     for (ranks, factors), monomials in _block_classes(data, d, cols_term, table_term).items():
-        odd = [2 * i - 1 for c in ranks for i in range(1, c + 1)] * (2 * genus)
-        total = total + FactoredRatFunc(0, _times_one_plus(monomials, odd), dict(factors))
+        numer = _odd_plus_product(monomials, ranks, genus)
+        total = total + FactoredRatFunc(0, numer, dict(factors))
     return total
 
 
@@ -469,7 +473,7 @@ def recursion_poincare(instance, truncation=None, force=False):
             f"nonzero coefficient at t^{band[0]} beyond twice the dimension"
         )
     poly = LaurentPoly({e: c2 for e, c2 in p.coeffs.items() if e <= 2 * dim})
-    return result_from_poly(poly, dim, "recursion", ss_ok, enforce=ss_ok)
+    return result_from_poly(poly, dim, "recursion", ss_ok)
 
 
 class _ClosedCounts(_Recursor):

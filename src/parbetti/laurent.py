@@ -241,51 +241,8 @@ class LaurentPoly(Record):
         return "LaurentPoly(" + " + ".join(parts) + ")"
 
 
-def one_minus(k):
-    """The polynomial 1 - t^k, k >= 1."""
-    if k < 1:
-        raise ValueError("factor exponent must be >= 1")
-    return LaurentPoly({0: 1, k: -1})
-
-
 def one_plus(k):
     return LaurentPoly({0: 1, k: 1})
-
-
-def divide_exact(num, den):
-    """Exact quotient num / den of Laurent polynomials.
-
-    Raises NonDivisible if the division leaves a remainder or a quotient
-    coefficient that is not an integer.  Division is run top down, so the
-    failure is reported by its highest exponent.
-    """
-    if den.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if num.is_zero():
-        return LaurentPoly.zero()
-    ns, ds = num.min_exp(), den.min_exp()
-    rem = {e - ns: c for e, c in num.coeffs.items()}
-    dvs = {e - ds: c for e, c in den.coeffs.items()}
-    dtop = max(dvs)
-    dlead = dvs[dtop]
-    quot = {}
-    while rem:
-        rtop = max(rem)
-        if rtop < dtop:
-            raise NonDivisible(f"remainder of degree {rtop + ns}")
-        c, r = divmod(rem[rtop], dlead)
-        if r:
-            raise NonDivisible(f"non-integral quotient at degree {rtop + ns}")
-        e = rtop - dtop
-        quot[e] = c
-        for de, dc in dvs.items():
-            k = de + e
-            s = rem.get(k, 0) - c * dc
-            if s:
-                rem[k] = s
-            elif k in rem:
-                del rem[k]
-    return _poly({e + ns - ds: c for e, c in quot.items()})
 
 
 class LaurentSeries(Record):

@@ -24,11 +24,12 @@ class BettiResult(Record):
         return self.betti[: self.dim + 1]
 
 
-def result_from_poly(poly, dim, method, ss_eq_stable, enforce=True):
+def result_from_poly(poly, dim, method, ss_eq_stable):
     """Wrap a certified polynomial, checking the moduli-space invariants.
 
-    enforce=False skips the cohomological checks (used for forced runs on
-    strictly semistable input, where they have no right to hold).
+    The cohomological checks (b_0 = 1, no negative Betti number, duality)
+    run only when ss_eq_stable holds: a forced run on strictly semistable
+    input has no right to satisfy them.
     """
     if poly.is_zero():
         betti = tuple([0] * (2 * dim + 1)) if dim >= 0 else ()
@@ -38,7 +39,7 @@ def result_from_poly(poly, dim, method, ss_eq_stable, enforce=True):
             f"exponents [{poly.min_exp()}, {poly.max_exp()}] escape [0, {2 * dim}]"
         )
     betti = [poly.coeff(i) for i in range(2 * dim + 1)]
-    if enforce:
+    if ss_eq_stable:
         if betti[0] != 1:
             raise NonPolynomialResult(f"b_0 = {betti[0]} instead of 1")
         for i, b in enumerate(betti):

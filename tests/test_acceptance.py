@@ -41,11 +41,6 @@ from parbetti import (
     make_data,
     moduli_dim,
 )
-from parbetti.counting import (
-    CountExpr,
-    flag_count,
-    poincare_from_count,
-)
 from parbetti.engine import siegel_check
 from parbetti.parabolic import (
     _compositions,
@@ -55,13 +50,16 @@ from parbetti.parabolic import (
 from parbetti.rank2 import family_formula
 from parbetti.cli import build_parser
 from oracles import (
+    CountExpr,
     brute_flag_count,
     brute_grassmann_count,
     brute_partitions,
     brute_subdata,
     evaluate,
     evaluate_q,
+    flag_count,
     grassmann_count,
+    poincare_from_count,
 )
 from strata import (
     coinv_count,

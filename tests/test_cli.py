@@ -171,6 +171,24 @@ def test_compute_invalid_inputs(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw, fragment", [
+    (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+    (b'{"genus": 2, "degree": 0, "points": [], "options": {"truncation": '
+     + b"9" * 5000 + b"}}", "invalid JSON number"),
+    (b'{"genus": 2, "degree": 0, "points": "\xff"}', "not UTF-8 text at byte 37"),
+], ids=["deep-array", "long-integer", "non-utf8"])
+def test_compute_undecodable_document_one_line(tmp_path, capsys, raw, fragment):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    assert main(["compute", str(path)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {path}: ")
+    assert fragment in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_compute_strictly_semistable(tmp_path, capsys):
     path = _doc(tmp_path, TRIVIAL_FLAGS)
     assert main(["compute", path]) == EXIT_REFUSED
@@ -334,6 +352,22 @@ def test_sweep_negative_genus_rejected_before_any_cell(tmp_path, capsys, monkeyp
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: --genus-range: genus must be >= 0")
+
+
+def test_sweep_refuses_oversized_grid_before_building_it(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sweep started work")
+
+    monkeypatch.setattr(cli, "_sweep_cell", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    path = _doc(tmp_path, CASE_A)
+    assert main(["sweep", path, "--degree-range", "0..100000000000"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: sweep of 100000000001 cells exceeds the limit of {cli.MAX_SWEEP_CELLS}\n"
+    )
+    assert cli.MAX_SWEEP_CELLS == 10_000
 
 
 def test_sweep_parallel_matches_serial(tmp_path, capsys, monkeypatch):

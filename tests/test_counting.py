@@ -1,32 +1,28 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from parbetti.counting import (
-    CountExpr,
-    NotPolynomial,
-    ZetaAtomPole,
-    block_factor,
-    flag_count,
-    flag_family_count,
-    flag_series,
-    mass_series,
-    mass_series_jac,
-    poincare_from_count,
-    poincare_substitute,
-    siegel_mass,
-)
+from parbetti.counting import block_factor
 from parbetti.laurent import LaurentPoly, one_plus
-from parbetti.parabolic import make_data
+from parbetti.parabolic import flag_dim, make_data
 from parbetti.ratfunc import FactoredRatFunc
 
 from oracles import (
+    CountExpr,
+    NotPolynomial,
+    ZetaAtomPole,
     brute_flag_count,
     brute_grassmann_count,
     evaluate,
     evaluate_q,
+    flag_count,
+    flag_family_count,
     gaussian_binomial,
     grassmann_count,
+    poincare_from_count,
+    poincare_substitute,
+    siegel_mass,
 )
 
 F = Fraction
@@ -121,27 +117,10 @@ def test_substitute_inverse_zeta_atom():
     assert direct * inverse == FRF()
 
 
-def test_flag_series_matches_substitution():
-    for data in DATA_FAMILY:
-        assert flag_series(data) == poincare_substitute(flag_family_count(data), 2)
-
-
-def test_mass_series_matches_substitution():
-    for n in range(1, 5):
-        for g in range(0, 4):
-            assert mass_series(n, g) == poincare_substitute(siegel_mass(n, g), g)
-
-
 def test_mass_series_rank_one():
-    assert mass_series(1, 0) == FRF(2, LaurentPoly.one(), {2: -1})
-    assert mass_series(1, 3) == FRF(2, LaurentPoly.one(), {2: -1})
-
-
-def test_mass_series_jac_relation():
-    for n in range(1, 5):
-        for g in range(0, 4):
-            jac = FRF(-2 * g, one_plus(1) ** (2 * g))
-            assert mass_series_jac(n, g) == mass_series(n, g) * jac
+    # the rank-1 mass 1/(q - 1) substitutes to t^2/(1 - t^2) in every genus
+    for g in (0, 3):
+        assert poincare_substitute(siegel_mass(1, g), g) == FRF(2, LaurentPoly.one(), {2: -1})
 
 
 def test_mass_series_jac_rank_two_display():
@@ -151,7 +130,8 @@ def test_mass_series_jac_rank_two_display():
         one_plus(1) ** (2 * g) * one_plus(3) ** (2 * g),
         {4: -1, 2: -2},
     )
-    assert mass_series_jac(2, g) == expected
+    jac = poincare_substitute(CountExpr(jac_power=1), g)
+    assert poincare_substitute(siegel_mass(2, g), g) * jac == expected
 
 
 def test_block_factor_rank_one():
@@ -180,13 +160,16 @@ def test_block_factor_rank_two():
 
 
 def test_block_factor_equals_assembled_pieces():
-    from parbetti.parabolic import flag_dim
-
+    """The routes' block factor is the Weil-conjecture substitution of the
+    block's count: flags times Siegel mass times line bundles, shifted to
+    start at t^0."""
     for data in DATA_FAMILY:
-        for g in (0, 2):
+        for g in range(4):
             n = data.rank
             twist = FRF.monomial(2 * flag_dim(data) + 2 * n * n * (g - 1))
-            assert block_factor(data, g) == twist * flag_series(data) * mass_series_jac(n, g)
+            counts = (flag_family_count(data), siegel_mass(n, g), CountExpr(jac_power=1))
+            expected = math.prod((poincare_substitute(c, g) for c in counts), start=twist)
+            assert block_factor(data, g) == expected
 
 
 def test_poincare_from_count_fixtures():

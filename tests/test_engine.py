@@ -11,7 +11,7 @@ import pytest
 
 from parbetti import engine
 from parbetti.cli import EXIT_INTERNAL, main
-from parbetti.counting import block_denominator, block_factor
+from parbetti.counting import block_factor
 from parbetti.engine import (
     MethodInapplicable,
     StrictSemistable,
@@ -36,7 +36,7 @@ from parbetti.parabolic import (
     make_data,
 )
 from parbetti.ratfunc import FactoredRatFunc
-from parbetti.result import BettiResult, NonPolynomialResult
+from parbetti.result import BettiResult, NonPolynomialResult, result_from_poly
 
 from strata import (
     coinv_count,
@@ -114,6 +114,14 @@ def test_strictly_semistable_guard():
     # forcing past the guard hits a genuinely non-polynomial answer
     with pytest.raises(NonPolynomialResult):
         poincare_closed(inst, force=True)
+
+
+def test_result_checks_run_only_when_semistable_equals_stable():
+    poly = LaurentPoly({0: 1, 1: -1, 2: 1})
+    with pytest.raises(NonPolynomialResult, match="negative Betti number b_1 = -1"):
+        result_from_poly(poly, 1, "closed", True)
+    res = result_from_poly(poly, 1, "closed", False)
+    assert res.betti == (1, -1, 1) and not res.ss_eq_stable
 
 
 def test_degree_periodicity_of_count_function():
@@ -619,7 +627,7 @@ def _oracle_classes(data, genus, d, method):
         blocks = part.blocks()
         factors = _chain_factors(part.cols)
         for b in blocks:
-            for k, e in block_denominator(b).items():
+            for k, e in block_factor(b, 0).factors.items():
                 factors[k] = factors.get(k, 0) + e
         key = (tuple(sorted(part.cols)), tuple(sorted((k, e) for k, e in factors.items() if e)))
         monomials = classes.setdefault(key, {})
@@ -694,7 +702,7 @@ def test_closed_sum_adds_once_per_class(monkeypatch):
     for part in parts:
         factors = _chain_factors(part.cols)
         for b in part.blocks():
-            for k, e in block_denominator(b).items():
+            for k, e in block_factor(b, 0).factors.items():
                 factors[k] = factors.get(k, 0) + e
         classes.add((tuple(sorted(part.cols)), frozenset((k, e) for k, e in factors.items() if e)))
     adds = []

@@ -7,13 +7,11 @@ from parbetti.laurent import (
     LaurentSeries,
     NonDivisible,
     TruncationLimit,
-    divide_exact,
-    one_minus,
     one_plus,
 )
 from parbetti.ratfunc import FactoredRatFunc
 
-from oracles import evaluate, geometric_power
+from oracles import divide_exact, evaluate, geometric_power, one_minus
 
 F = Fraction
 P = LaurentPoly

@@ -9,13 +9,11 @@ from parbetti.laurent import (
     LaurentSeries,
     NonDivisible,
     TruncationLimit,
-    divide_exact,
-    one_minus,
     one_plus,
 )
 from parbetti.ratfunc import FactoredRatFunc
 
-from oracles import geometric_power
+from oracles import divide_exact, geometric_power, one_minus
 
 F = Fraction
 FRF = FactoredRatFunc

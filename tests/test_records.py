@@ -7,11 +7,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from parbetti.counting import CountExpr
 from parbetti.laurent import LaurentPoly
 from parbetti.parabolic import FlagPoint, Instance, QPData, _derived, make_data
 from parbetti.rank2 import Rank2Profile
 from parbetti.result import BettiResult
+
+from oracles import CountExpr
 
 POINT = FlagPoint((1, 1), ("0", "1/3"))
 DATA = QPData((POINT,))

@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "parbetti"
@@ -188,3 +189,33 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def _references(tree):
+    """How often each name is read or bound by a Name or Attribute node."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_no_test_only_names_in_src():
+    """Every module-level function and class of the package is used by the
+    package, the benchmark or the demos; what only the tests use belongs in
+    the tests.  A name's own definition does not count, and neither does
+    the package's re-export, which is only imports and ``__all__``."""
+    root = SRC.parents[1]
+    total = Counter()
+    for folder in (SRC, root / "bench", root / "demos"):
+        for path in sorted(folder.glob("*.py")):
+            if path != SRC / "__init__.py":
+                total += _references(ast.parse(path.read_text(encoding="utf-8")))
+    unused = [
+        f"{path.name}: {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and total[node.name] <= _references(node)[node.name]
+    ]
+    assert unused == []
