@@ -4,7 +4,12 @@ Exit codes: 0 success, 1 invalid input or usage, 2 refusal on strictly
 semistable input (or an integral gap sum on the rank-2 route), 3 a failed
 certificate, routes that disagree under compare, or a dead sweep worker.
 A sweep of more than ``MAX_SWEEP_CELLS`` = 10 000 (genus, degree) cells
-is refused with exit 1 before any cell runs.
+is refused with exit 1 before any cell runs.  So is, by ``engine.compute``
+and for every route, an instance whose twice-dimension is past the series
+limit ``MAX_TRUNCATION`` = 20 000: one ``error:`` line, before any
+numerator or series is built.  A sweep whose every cell fails exits as its
+cells do: 2 if all were refusals, 1 if all were invalid input (an
+inapplicable method or that limit), 3 otherwise.
 """
 
 from __future__ import annotations
@@ -413,9 +418,11 @@ def cmd_sweep(args, out=None):
     if all(c["error"] is not None for _, c in columns):
         for label, cell in columns:
             sys.stderr.write(f"error {label}: {cell['error']}\n")
-        refusals = ("StrictSemistable", "IntegralPsi")
-        if all(c["error"].split(":")[0] in refusals for _, c in columns):
+        kinds = {c["error"].split(":")[0] for _, c in columns}
+        if kinds <= {"StrictSemistable", "IntegralPsi"}:
             return EXIT_REFUSED
+        if kinds <= {"MethodInapplicable", "TruncationLimit"}:
+            return EXIT_INVALID
         return EXIT_INTERNAL
     if args.format == "latex":
         out.write(_latex_table(columns))

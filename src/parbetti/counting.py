@@ -46,14 +46,16 @@ def flag_denominator(mults, factors):
     return factors
 
 
-def block_factor(data, genus):
-    """Per-block factor of the closed formulas: flag part times mass part.
+def block_factor(mults, genus):
+    """Per-block factor of the closed formulas: flag part times mass part,
+    for a block with these multiplicities at each point.
 
     Shift-free by construction; for rank 1 it reduces to (1+t)^{2g}/(1-t^2).
     Its numerator depends only on the rank, its factors only on the flag
     data, not on the genus.
     """
-    factors = rank_denominator(data.rank, data.num_points)
-    for pt in data.points:
-        flag_denominator(pt.mults, factors)
-    return FactoredRatFunc(0, _odd_plus_product({0: 1}, (data.rank,), genus), factors)
+    n = sum(mults[0])
+    factors = rank_denominator(n, len(mults))
+    for ms in mults:
+        flag_denominator(ms, factors)
+    return FactoredRatFunc(0, _odd_plus_product({0: 1}, (n,), genus), factors)

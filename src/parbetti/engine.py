@@ -17,11 +17,14 @@ enters through its substituted count, the per-block factor of
   Betti numbers; ``compare_methods`` checks it against the first route.
 * ``recursion_poincare``: solves the filtration recursion numerically in
   truncated Laurent series with certified truncation bookkeeping, never
-  citing the closed solution.  Each stratum's Harder-Narasimhan degree
-  tuples are found by an integer search, and the tuples of all strata are
-  grouped by the multiset of their (block, residue mod the block's rank)
-  pairs: one series product per multiset, times an exact polynomial of its
-  shifts.  All rank-1 blocks share one series, whatever their weights.
+  citing the closed solution.  It runs on integer blocks: per point, the
+  multiplicities and the weight numerators over the data's one
+  denominator.  Each stratum's Harder-Narasimhan degree tuples are found by
+  an integer search, and the tuples of all strata are grouped by the
+  multiset of their (block, residue mod the block's rank) pairs, each
+  multiset with an exact polynomial of its shifts.  The sorted multisets
+  form a trie, and Horner's rule over it makes one series product per
+  inner node.  All rank-1 blocks share one series, whatever their weights.
 
 All three end with the same shift-free bridge prefactor
 (1 - t)^(2g) (1 - t^2)^(1 - 2g), after a shift of their own; the recursion
@@ -34,16 +37,23 @@ runs the recursion's own step on the closed route's stable counts.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from . import rank2 as _rank2
 from .counting import _odd_plus_product, block_factor, flag_denominator, rank_denominator
-from .laurent import LaurentPoly, LaurentSeries, NonDivisible, TruncationTooSmall
+from .laurent import (
+    MAX_TRUNCATION,
+    LaurentPoly,
+    LaurentSeries,
+    NonDivisible,
+    TruncationLimit,
+    TruncationTooSmall,
+)
 from .parabolic import (
-    _derived,
+    _block_data,
     _integer_weights,
     _strata,
     canonical_form,
-    flag_dim,
     moduli_dim,
     slope_coincidence_witness,
 )
@@ -75,16 +85,16 @@ def _check_stability(instance, force):
     return False
 
 
-def _count_shift(data, genus):
+def _count_shift(mults, genus):
     """n^2(g - 1) + 2 flag_dim: the shift between the count side and the
-    Betti side of one datum."""
-    return data.rank**2 * (genus - 1) + 2 * flag_dim(data)
+    Betti side of data with these multiplicities at each point."""
+    n = sum(mults[0])
+    return n * n * (genus - 1) + sum(n * n - sum(m * m for m in ms) for ms in mults)
 
 
-def _block_q(block, genus):
+def _block_q(mults, genus):
     """Count generating function of the full family over one block."""
-    shift = -_count_shift(block, genus)
-    return FactoredRatFunc.monomial(shift) * block_factor(block, genus)
+    return FactoredRatFunc.monomial(-_count_shift(mults, genus)) * block_factor(mults, genus)
 
 
 def _bridge(genus):
@@ -131,7 +141,7 @@ def _block_classes(data, d, cols_term, table_term):
     nd = n * den
     base = data.num_points * n + 1
     classes = {}
-    for cols, strata in _strata(data, weights, 1):
+    for cols, strata in _strata([p.mults for p in data.points], weights, 1, {}):
         r = len(cols)
         sign = (-1) ** (r - 1)
         pair_sums = [cols[k] + cols[k + 1] for k in range(r - 1)]
@@ -230,22 +240,24 @@ def poincare_qclosed(instance, force=False):
     """Betti polynomial via the count route and the bridge prefactor."""
     data, d, g = instance.data, instance.degree, instance.genus
     ss_ok = _check_stability(instance, force)
-    pre = FactoredRatFunc.monomial(_count_shift(data, g)) * _bridge(g)
+    pre = FactoredRatFunc.monomial(_count_shift([p.mults for p in data.points], g)) * _bridge(g)
     return _certify(pre * q_ratfunc(data, d, g), instance, "qclosed", ss_ok)
 
 
 def _pairing_floors(cols, den, nums):
-    """Pairing floors ``floor(a_k n_l - a_l n_k) + 1`` (l < k) of weights
-    a_k = nums[k] / den, in integers; entries with l >= k are 0."""
+    """Suffix sums of the pairing floors ``floor(a_k n_l - a_l n_k) + 1``
+    (l < k) of weights a_k = nums[k] / den, in integers: entry j sums
+    them over j <= l, so entry 0 bounds the whole pairing from below."""
     r = len(cols)
-    lb = [[0] * r for _ in range(r)]
-    for l in range(r):
-        for k in range(l + 1, r):
-            lb[l][k] = (nums[k] * cols[l] - nums[l] * cols[k]) // den + 1
-    return lb
+    suffix = [0] * (r + 1)
+    for l in range(r - 1, -1, -1):
+        suffix[l] = suffix[l + 1] + sum(
+            (nums[k] * cols[l] - nums[l] * cols[k]) // den + 1 for k in range(l + 1, r)
+        )
+    return suffix
 
 
-def hn_degree_tuples(cols, den, nums, d, pairing_bound):
+def hn_degree_tuples(cols, den, nums, d, pairing_bound, floors):
     """Integer degree tuples with total ``d``, strictly decreasing block
     slopes, and cross pairing at most ``pairing_bound``.
 
@@ -253,7 +265,8 @@ def hn_degree_tuples(cols, den, nums, d, pairing_bound):
     integer numerators over one positive denominator.  The pairing of a
     tuple is ``sum over l < k of d_l n_k - d_k n_l`` and the slope of block
     k is ``(d_k + a_k) / cols[k]``.  Slope decrease makes every pairwise
-    pairing at least ``floor(a_k n_l - a_l n_k) + 1``, which closes both
+    pairing at least ``floor(a_k n_l - a_l n_k) + 1``; ``floors`` holds
+    their sums over the tails (``_pairing_floors``), and they close both
     ends of each search range:
 
     * replacing all later choices by those pairwise floors gives a pairing
@@ -271,26 +284,17 @@ def hn_degree_tuples(cols, den, nums, d, pairing_bound):
     n = sum(cols)
     if r == 1:
         return [((d,), 0)] if pairing_bound >= 0 else []
-    lb = _pairing_floors(cols, den, nums)
-    lbsuf = [0] * (r + 1)
-    for j in range(r - 1, -1, -1):
-        lbsuf[j] = lbsuf[j + 1] + sum(lb[j])
     asuf = [0] * (r + 1)
     for j in range(r - 1, -1, -1):
         asuf[j] = asuf[j + 1] + nums[j]
     out = []
 
+    before = [0, *itertools.accumulate(cols)]  # total rank of the blocks before j
+    last = cols[-1]
+
     def rec(j, deg_sum, pair_in, prefix):
-        nprev = sum(cols[:j])
+        nprev = before[j]
         nj = cols[j]
-        if j == r - 1:
-            v = d - deg_sum
-            if (v * den + nums[j]) * cols[j - 1] >= (prefix[-1] * den + nums[j - 1]) * nj:
-                return
-            pair_total = pair_in + nj * deg_sum - v * nprev
-            if pair_total <= pairing_bound:
-                out.append((tuple(prefix) + (v,), pair_total))
-            return
         x = nj * ((d - deg_sum) * den + asuf[j + 1]) - (n - nprev - nj) * nums[j]
         lo = x // (den * (n - nprev)) + 1
         c0 = (
@@ -298,79 +302,100 @@ def hn_degree_tuples(cols, den, nums, d, pairing_bound):
             + nj * deg_sum
             + n * deg_sum
             - d * (nprev + nj)
-            + lbsuf[j + 1]
+            + floors[j + 1]
         )
         hi = (pairing_bound - c0) // (n - nprev)
         if j > 0:
             # block j's slope stays under block j-1's: v < cap / (den n_{j-1})
             cap = (prefix[-1] * den + nums[j - 1]) * nj - nums[j] * cols[j - 1]
             hi = min(hi, -(-cap // (den * cols[j - 1])) - 1)
+        if j < r - 2:
+            for v in range(lo, hi + 1):
+                rec(j + 1, deg_sum + v, pair_in + nj * deg_sum - v * nprev, prefix + (v,))
+            return
+        # the total fixes the last degree w; its slope must stay under block j's
         for v in range(lo, hi + 1):
-            rec(j + 1, deg_sum + v, pair_in + nj * deg_sum - v * nprev, prefix + [v])
+            w = d - deg_sum - v
+            if (w * den + nums[-1]) * nj >= (v * den + nums[j]) * last:
+                continue
+            pairing = pair_in + nj * deg_sum - v * nprev + last * (deg_sum + v) - w * (n - last)
+            if pairing <= pairing_bound:
+                out.append((prefix + (v, w), pairing))
 
-    rec(0, 0, 0, [])
+    rec(0, 0, 0, ())
     return out
 
 
 class _Recursor:
     """Solves the filtration recursion in truncated series, memoized.
 
+    A block is a pair ``(mults, nums)`` of int tuples, one per point: the
+    multiplicities of its nonzero flag rows and their weight numerators
+    over ``den``, the top-level data's denominator (every block's weights
+    are some of the data's).  ``memo`` maps (block, residue) to its series,
+    ``shapes`` holds the tables of ``_strata`` and ``families`` the
+    full-family counts per (mults, truncation); all three last one compute.
+
     Degree enters only through its residue mod the rank: twisting by a line
     bundle of degree one shifts every degree tuple compatibly and leaves
     both the pairing and the slope chain intact.  A rank-1 block's count
     does not depend on its weights (its flag dimension is 0 and its factors
     see only multiplicities), so every rank-1 block with s points is the
-    one in ``lines[s]``, and they share one memo entry.
+    one with numerators 0, and they share one memo entry.
     """
 
-    def __init__(self, genus):
+    def __init__(self, genus, den):
         self.genus = genus
+        self.den = den
         self.memo = {}
-        self.lines = {}
+        self.shapes = {}
+        self.families = {}
 
-    def q_series(self, data, d, trunc):
-        """Stable count of canonical data (no zero rows) through trunc."""
-        key = (data, d % data.rank)
+    def q_series(self, block, d, trunc):
+        """Stable count of a block (no zero rows) through trunc."""
+        key = (block, d % sum(block[0][0]))
         hit = self.memo.get(key)
         if hit is not None and hit.trunc >= trunc:
             return hit
-        series = self._stable_count(data, key[1], trunc).exact_through(trunc)
+        series = self._stable_count(block, key[1], trunc).exact_through(trunc)
         self.memo[key] = series
         return series
 
-    def _stable_count(self, data, d, trunc):
-        """Stable count of canonical data through trunc, before memoising."""
-        return self._compute(data, d, trunc)
+    def _stable_count(self, block, d, trunc):
+        """Stable count of a block through trunc, before memoising."""
+        return self._compute(block, d, trunc)
 
-    def _compute(self, data, d, trunc):
-        """The full-family count of canonical data minus every stratum of
-        two or more blocks, through trunc.
+    def _compute(self, block, d, trunc):
+        """The full-family count of a block minus every stratum of two or
+        more blocks, through trunc.
 
         A degree tuple of a stratum (sigma inversions) adds the product of
         its block series times t^(2(pairing - sigma)), and the product
         depends only on the multiset of (block, d_k mod n_k) pairs.  So the
-        first pass walks the strata: it fetches each block's series as deep
-        as the stratum's certificate needs, bounds the pairing so that the
-        skipped tuples land past trunc, and adds each residue class's shifts
-        into one exact polynomial per multiset.  The second pass makes one
-        product per multiset (``_group_term``).  Blocks are numbered by
-        their table columns, so a multiset is a sorted tuple of int pairs.
+        walk over the strata fetches each block's series as deep as the
+        stratum's certificate needs, bounds the pairing so that the skipped
+        tuples land past trunc, and adds each tuple's shift into its
+        multiset's node of a trie of sorted (block number, residue) pairs;
+        ``_horner`` then makes the products.  Blocks are numbered by their
+        table columns.
         """
         g = self.genus
-        total = _block_q(data, g).expand(trunc)
-        if data.rank == 1:
+        mults, nums = block
+        total = self.families.get((mults, trunc))
+        if total is None:
+            total = self.families[mults, trunc] = _block_q(mults, g).expand(trunc)
+        if sum(mults[0]) == 1:
             return total
-        line = self.lines.setdefault(
-            data.num_points, _derived(((1,), p.weights[:1]) for p in data.points)
-        )
-        den, weights = _integer_weights(data)
+        line = (((1,),) * len(mults), ((0,),) * len(mults))
+        den = self.den
         ids = {}  # a block's table columns (rank 1: ()) -> its number
-        blocks = []  # number -> (canonical block, -count shift)
+        blocks = []  # number -> (block, rank, -count shift)
         series = {}  # (number, residue) -> deepest series fetched
-        groups = {}  # sorted (number, residue) pairs -> {shift: count}
-        for cols, strata in _strata(data, weights, 2):
+        fetched = {}  # number -> (least depth, least order bound) of its series
+        trie = {}  # (number, residue) -> (shifts of the multiset ending here, subtrie)
+        for cols, strata in _strata(mults, nums, 2, self.shapes):
             for tables in itertools.product(*strata):
-                nums = [sum(col) for col in zip(*(t[3] for t in tables))]
+                sums = [sum(col) for col in zip(*(t[3] for t in tables))]
                 sigma = sum(t[1] for t in tables)
                 ks = []
                 for k, c in enumerate(cols):
@@ -378,68 +403,92 @@ class _Recursor:
                     i = ids.get(key)
                     if i is None:
                         # block k is column k of every table, zero rows dropped:
-                        # zip(*pairs) is its (mults, weights) at one point
-                        b = line if c == 1 else _derived(
-                            zip(*((row[k], w) for row, w in zip(tbl, p.weights) if row[k]))
-                            for p, (tbl, *_) in zip(data.points, tables)
-                        )
+                        # zip(*pairs) is its (mults, nums) at one point
+                        b = line if c == 1 else tuple(zip(*(
+                            tuple(zip(*((row[k], w) for row, w in zip(tbl, ws) if row[k])))
+                            for (tbl, *_), ws in zip(tables, nums)
+                        )))
                         i = ids[key] = len(blocks)
-                        blocks.append((b, -_count_shift(b, g)))
+                        blocks.append((b, c, -_count_shift(b[0], g)))
                     ks.append(i)
+                floors = _pairing_floors(cols, den, sums)
                 # a block's probe: trunc less the smallest shift and the
                 # other blocks' leading orders
-                spare = trunc - 2 * (sum(map(sum, _pairing_floors(cols, den, nums))) - sigma)
-                spare -= sum(blocks[i][1] for i in ks)
+                spare = trunc - 2 * (floors[0] - sigma) - sum(blocks[i][2] for i in ks)
                 certs = []
                 for i in ks:
-                    b, order = blocks[i]
-                    fetched = [self.q_series(b, rho, spare + order) for rho in range(b.rank)]
-                    for rho, s in enumerate(fetched):
-                        series[i, rho] = s
-                    certs.append(min(s.order_bound() for s in fetched))
+                    b, c, order = blocks[i]
+                    depth, cert = fetched.get(i, (spare + order - 1, None))
+                    if depth < spare + order:
+                        got = [self.q_series(b, rho, spare + order) for rho in range(c)]
+                        series.update(((i, rho), s) for rho, s in enumerate(got))
+                        depth = min(s.trunc for s in got)
+                        cert = min(s.order_bound() for s in got)
+                        fetched[i] = depth, cert
+                    certs.append(cert)
                 bound = (trunc - sum(certs)) // 2 + sigma
                 # anything past the bound sits beyond trunc after the shift
                 if 2 * (bound + 1 - sigma) + sum(certs) <= trunc:
                     raise TruncationTooSmall(
                         f"degree-tuple bound {bound} leaves terms below t^{trunc}"
                     )
-                classes = {}
-                for dvec, pairing in hn_degree_tuples(cols, den, nums, d, bound):
-                    shifts = classes.setdefault(
-                        tuple(dk % nk for dk, nk in zip(dvec, cols)), {}
-                    )
+                leaves = {}  # residues -> shifts of their multiset in the trie
+                for dvec, pairing in hn_degree_tuples(cols, den, sums, d, bound, floors):
+                    rhos = tuple(map(operator.mod, dvec, cols))
+                    shifts = leaves.get(rhos)
+                    if shifts is None:
+                        node = trie
+                        for pair in sorted(zip(ks, rhos)):
+                            branch = node.get(pair)
+                            if branch is None:
+                                branch = node[pair] = ({}, {})
+                            node = branch[1]
+                        shifts = leaves[rhos] = branch[0]
                     shift = 2 * (pairing - sigma)
                     shifts[shift] = shifts.get(shift, 0) + 1
-                for rhos, shifts in classes.items():
-                    merged = groups.setdefault(tuple(sorted(zip(ks, rhos))), {})
-                    for e, c in shifts.items():
-                        merged[e] = merged.get(e, 0) + c
-        for pairs, shifts in groups.items():
-            total = total - self._group_term(pairs, shifts, blocks, series, trunc)
+        total = total - self._horner(trie, trunc, blocks, series)
         return total.exact_through(trunc).truncate(trunc)
 
-    def _group_term(self, pairs, shifts, blocks, series, trunc):
-        """The product of ``series[p]`` over the (block number, residue)
-        pairs, repeats allowed, times the exact polynomial ``shifts``, exact
-        through trunc; ``series`` and the memo are deepened as needed."""
-        low = min(shifts)
-        while True:
-            factors = [series[p] for p in pairs]
-            orders = [s.order_bound() for s in factors]
-            # deeper terms of a factor, or a group with no room, land past trunc
-            room = trunc - low - sum(orders)
-            if room < 0:
-                return LaurentSeries.zero(trunc)
-            prod = factors[0].truncate(room + orders[0])
-            for s, o in zip(factors[1:], orders[1:]):
-                prod = prod * s.truncate(room + o)
-            if prod.trunc + low >= trunc:
-                return prod.mul_poly(LaurentPoly(shifts))
-            # a block series started later than its family count
-            # predicts; deepen every factor by the deficit and retry
-            bump = trunc - low - prod.trunc
-            for i, rho in set(pairs):
-                series[i, rho] = self.q_series(blocks[i][0], rho, series[i, rho].trunc + bump)
+    def _horner(self, trie, need, blocks, series):
+        """The sum over the trie's multisets of the product of ``series[p]``
+        over their pairs p times their shifts, exact through need.
+
+        Horner's rule: V = sum over the branches (p, shifts, subtrie) of
+        series[p] (shifts + V(subtrie)), one product per branch (``mul_poly``
+        at a leaf).  A branch solves its subtrie through need less its
+        factor's order first; the subtrie's lowest exponent then sets the
+        factor's depth, or leaves no room.  A short product means the factor
+        started later than its family count predicts: it is deepened by the
+        deficit and the product retried, after the subtrie has deepened the
+        factors under it.
+        """
+        total = LaurentSeries.zero(need)
+        for pair, (shifts, sub) in trie.items():
+            s = series[pair]
+            if sub:
+                inner = need - s.order_bound()
+                x = LaurentSeries(shifts, inner) + self._horner(sub, inner, blocks, series)
+                low = x.order_bound()
+            else:
+                x = LaurentPoly(shifts)
+                low = min(shifts)
+            while need - low - s.order_bound() >= 0:
+                f = s.truncate(need - low)
+                term = f * x if sub else f.mul_poly(x)
+                if term.trunc >= need:
+                    total = total + term
+                    break
+                s = series[pair] = self.q_series(
+                    blocks[pair[0]][0], pair[1], s.trunc + need - term.trunc
+                )
+        return total
+
+
+def _integer_block(data):
+    """Canonical data as ``(den, block)``: the lcm den of its weights'
+    denominators and the recursion's integer block over it."""
+    den, weights = _integer_weights(data)
+    return den, (tuple(p.mults for p in data.points), tuple(map(tuple, weights)))
 
 
 def recursion_poincare(instance, truncation=None, force=False):
@@ -458,8 +507,9 @@ def recursion_poincare(instance, truncation=None, force=False):
         raise TruncationTooSmall(
             f"truncation {n_master} cannot reach degree {2 * dim}"
         )
-    c = _count_shift(data, g)
-    q = _Recursor(g).q_series(canonical_form(data), d, n_master - c)
+    den, block = _integer_block(canonical_form(data))
+    c = _count_shift(block[0], g)
+    q = _Recursor(g, den).q_series(block, d, n_master - c)
     p = q.shift(c) * _bridge(g).expand(n_master)
     bad = sorted(e for e in p.coeffs if e < 0)
     if bad:
@@ -479,8 +529,8 @@ def recursion_poincare(instance, truncation=None, force=False):
 class _ClosedCounts(_Recursor):
     """The recursion step fed with the closed route's stable counts."""
 
-    def _stable_count(self, data, d, trunc):
-        return q_ratfunc(data, d, self.genus).expand(trunc)
+    def _stable_count(self, block, d, trunc):
+        return q_ratfunc(_block_data(block, self.den), d, self.genus).expand(trunc)
 
 
 def siegel_check(data, genus, d, order):
@@ -494,13 +544,23 @@ def siegel_check(data, genus, d, order):
     agreement, otherwise (False, first differing exponent).
     """
     data = canonical_form(data)
-    step = _ClosedCounts(genus)._compute(data, d, order)
+    den, block = _integer_block(data)
+    step = _ClosedCounts(genus, den)._compute(block, d, order)
     diff = step.first_difference(q_ratfunc(data, d, genus).expand(order), through=order)
     return (diff is None, diff)
 
 
 def compute(instance, method="closed", truncation=None, force=False):
-    """Run one route.  Truncation only matters for the recursion route."""
+    """Run one route.  Truncation only matters for the recursion route.
+
+    The polynomial reaches t^(2 dim), so 2 dim past ``MAX_TRUNCATION`` is
+    refused (``TruncationLimit``) before any route starts.
+    """
+    top = 2 * moduli_dim(instance.data, instance.genus)
+    if top > MAX_TRUNCATION:
+        raise TruncationLimit(
+            f"twice the dimension, {top}, exceeds the truncation limit {MAX_TRUNCATION}"
+        )
     if method == "closed":
         return poincare_closed(instance, force)
     if method == "qclosed":

@@ -12,10 +12,14 @@ silently pretend to more precision than they have.
 Every product and sum of polynomials and series runs through the two
 coefficient-dict kernels ``_product`` and ``_sum``; ``ratfunc`` applies its
 factors 1 - t^k by linear passes over a dense coefficient list instead.
+``_product`` multiplies longer operands by Kronecker substitution (D.
+Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symbolic Comput. 44 (2009), arXiv:0712.4046).
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from operator import attrgetter
 
@@ -81,16 +85,25 @@ def _coerce(c):
     raise TypeError(f"coefficient must be an integer, got {c!r}")
 
 
-def _product(a, b, top=None):
-    """Sparse product of two coefficient dicts, dropping exponents above top.
+_SPARSE_TERMS = 4  # up to this many terms, a term-by-term loop beats packing
+_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # digit bytes -> memoryview format
+_ORDER = sys.byteorder  # memoryview words are in the machine's byte order
 
-    With a top, the larger operand is sorted so that each row stops at the
-    first exponent past it.  Zeros are dropped once, at the end.
+
+def _product(a, b, top=None):
+    """Product of two coefficient dicts, dropping exponents above top.
+
+    Up to ``_SPARSE_TERMS`` terms in the shorter operand (shift polynomials
+    t^0 + t^N), its terms run over the longer one, sorted with a top so that
+    each row stops at the first exponent past it; zeros are dropped at the
+    end.  Longer operands go to ``_packed_product``.
     """
     if len(a) > len(b):
         a, b = b, a
     if not a:
         return {}
+    if len(a) > _SPARSE_TERMS:
+        return _packed_product(a, b, top)
     if top is None:
         top = max(a) + max(b)  # no pair goes past it, so the rows need no order
         row = b.items()
@@ -106,6 +119,46 @@ def _product(a, b, top=None):
             e = ea + eb
             d[e] = get(e, 0) + ca * cb
     return {e: c for e, c in d.items() if c}
+
+
+def _packed_product(a, b, top):
+    """Kronecker substitution: both operands evaluated at t = 2^B, one
+    big-int multiply, the product's coefficients read off as B-bit digits.
+
+    No coefficient exceeds max|a| max|b| min(len a, len b) in size, so B, a
+    power of two in bytes, leaves it room and a sign bit.  Digits are stored
+    offset by h = 2^(B-1), so none is negative or borrows from the next: an
+    operand packs as its digits c + h less the same run of h alone.  Digits
+    of up to 8 bytes are read back as machine words through a memoryview.
+    """
+    lo_a, lo_b = min(a), min(b)
+    if top is not None:
+        if lo_a + lo_b > top:
+            return {}
+        a = {e: c for e, c in a.items() if e <= top - lo_b}
+        b = {e: c for e, c in b.items() if e <= top - lo_a}
+    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+    size = 1 << (bound.bit_length() // 8).bit_length()
+    h = 1 << (8 * size - 1)
+    word = _WORDS.get(size)
+    pad = h.to_bytes(size, _ORDER)
+    packed = []
+    for d, lo in ((a, lo_a), (b, lo_b)):
+        n = max(d) - lo + 1
+        digits = [pad] * n
+        for e, c in d.items():
+            digits[e - lo] = (c + h).to_bytes(size, _ORDER)
+        packed.append(int.from_bytes(b"".join(digits), _ORDER) - int.from_bytes(pad * n, _ORDER))
+    n = max(a) + max(b) - lo_a - lo_b + 1
+    raw = (packed[0] * packed[1] + int.from_bytes(pad * n, _ORDER)).to_bytes(size * n, _ORDER)
+    if top is not None:
+        n = min(n, top - lo_a - lo_b + 1)
+    if word:
+        digits = memoryview(raw).cast(word)[:n].tolist()
+    else:
+        digits = [int.from_bytes(raw[i * size:(i + 1) * size], _ORDER) for i in range(n)]
+    lo = lo_a + lo_b
+    return {lo + i: c - h for i, c in enumerate(digits) if c != h}
 
 
 def _sum(a, b, top=None):

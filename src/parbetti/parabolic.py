@@ -220,26 +220,42 @@ def _integer_weights(data):
     return den, [[w.numerator * (den // w.denominator) for w in p.weights] for p in data.points]
 
 
-def _strata(data, weights, min_length):
+def _strata(mults, weights, min_length, shapes):
     """``(cols, per_point)`` for each composition ``cols`` of the rank into
-    at least min_length parts, by length then lexicographically.
+    at least min_length parts, by length then lexicographically, for data
+    with these multiplicities and integer weights at each point.
 
     ``per_point`` lists each point's tables in row-major lex order, read
     once as ``(table, inv, coinv, nums)``: its pair counts (``table_pairs``)
     and each block column's weight numerator over the point's integer
     ``weights``.  A stratum is one table per point; its invariants are sums.
+    Tables and pair counts depend only on (multiplicities, ``cols``): the
+    caller's dict ``shapes`` keeps them, and each walk reads only numerators.
     """
-    n = data.rank
+    n = sum(mults[0])
     for r in range(min_length, n + 1):
         for cols in _compositions(n, r):
             per_point = []
-            for p, ws in zip(data.points, weights):
-                rows = []
-                for tbl in _tables_for_point(p.mults, cols):
-                    nums = [sum(a * w for a, w in zip(col, ws)) for col in zip(*tbl)]
-                    rows.append((tbl, *table_pairs(tbl, cols), nums))
-                per_point.append(rows)
+            for ms, ws in zip(mults, weights):
+                tables = shapes.get((ms, cols))
+                if tables is None:
+                    tables = shapes[ms, cols] = [
+                        (tbl, *table_pairs(tbl, cols), tuple(zip(*tbl)))
+                        for tbl in _tables_for_point(ms, cols)
+                    ]
+                per_point.append([
+                    (tbl, inv, coinv, [sum(a * w for a, w in zip(col, ws)) for col in columns])
+                    for tbl, inv, coinv, columns in tables
+                ])
             yield cols, per_point
+
+
+def _block_data(block, den):
+    """QPData of an integer block ``(mults, nums)``: per point, the
+    multiplicities and the weight numerators over den."""
+    return _derived(
+        (ms, tuple(Fraction(a, den) for a in ns)) for ms, ns in zip(*block)
+    )
 
 
 def slope_coincidence_witness(data, degree):

@@ -1,7 +1,9 @@
 """End-to-end checks of the command line interface."""
 
+import contextlib
 import json
 import os
+import signal
 
 import pytest
 
@@ -324,6 +326,15 @@ def test_sweep_all_cells_refused(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_all_cells_invalid(tmp_path, capsys):
+    """Every cell failing on invalid input exits 1, as ``compute`` does."""
+    rank3 = [{"weights": ["0", "1/3", "1/2"], "multiplicities": [1, 1, 1]}]
+    doc = dict(CASE_A, points=rank3, options={"method": "rank2"})
+    path = _doc(tmp_path, doc)
+    assert main(["sweep", path, "--genus-range", "1..2"]) == EXIT_INVALID
+    assert capsys.readouterr().err.count("MethodInapplicable") == 2
+
+
 def test_sweep_negative_degree_range(tmp_path, capsys):
     path = _doc(tmp_path, CASE_A)
     assert main(["sweep", path, "--degree-range=-2..-1",
@@ -531,3 +542,47 @@ def test_check_higher_rank_no_existence_line(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "rank: 3" in out
     assert "exists_stable" not in out
+
+
+# -- work bounded before it starts ------------------------------------------
+
+HUGE_GENUS = dict(CASE_A, genus=100_000)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the test if the block runs past seconds, so a
+    route that starts the work fails the test instead of hanging it."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("method", ["closed", "qclosed", "recursion", "rank2"])
+def test_compute_refuses_dimension_past_truncation_limit(tmp_path, capsys, method):
+    """Twice the dimension (599 996 here) is past MAX_TRUNCATION, so
+    every route refuses at once with one line instead of building
+    numerators of that degree."""
+    path = _doc(tmp_path, HUGE_GENUS)
+    with _deadline(1.0):
+        assert main(["compute", path, "--method", method]) == EXIT_INVALID
+    err = _one_line_error(capsys)
+    assert "twice the dimension, 599996, exceeds the truncation limit 20000" in err
+
+
+def test_compare_and_sweep_refuse_dimension_past_truncation_limit(tmp_path, capsys):
+    path = _doc(tmp_path, HUGE_GENUS)
+    with _deadline(1.0):
+        assert main(["compare", path]) == EXIT_INVALID
+        assert "truncation limit" in _one_line_error(capsys)
+        assert main(["sweep", path, "--format", "csv"]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "TruncationLimit" in err

@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from parbetti import engine
+from parbetti import engine, parabolic
 from parbetti.cli import EXIT_INTERNAL, main
 from parbetti.counting import block_factor
 from parbetti.engine import (
@@ -54,6 +54,11 @@ R3_TWO = make_data(
 )
 R4 = make_data([((1, 1, 1, 1), ("0", "1/8", "1/4", "1/2"))])
 PLAIN = make_data([((2,), ("0",))])
+
+
+def _mults(data):
+    """Each point's multiplicities, the rows that block factors read."""
+    return [p.mults for p in data.points]
 
 
 def test_rank2_pinned_all_routes():
@@ -179,8 +184,8 @@ def test_routes_keep_integer_coefficients(monkeypatch):
         return sums[-1]
 
     class Recorded(engine._Recursor):
-        def __init__(self, genus):
-            super().__init__(genus)
+        def __init__(self, *args):
+            super().__init__(*args)
             recursors.append(self)
 
     monkeypatch.setattr(engine, "_block_sum", recorded_sum)
@@ -220,12 +225,12 @@ def test_siegel_check_sees_a_wrong_stable_count(monkeypatch):
 
 
 def test_siegel_check_sees_a_wrong_recursion_step(monkeypatch):
-    step = engine._Recursor._group_term
+    step = engine._Recursor._horner
 
     def shifted(self, *args):
         return step(self, *args).shift(2)
 
-    monkeypatch.setattr(engine._Recursor, "_group_term", shifted)
+    monkeypatch.setattr(engine._Recursor, "_horner", shifted)
     assert siegel_check(R2, 2, 1, 20)[0] is False
     assert siegel_check(R3, 1, 1, 16)[0] is False
 
@@ -298,7 +303,8 @@ def _over_one_denominator(alphas):
 
 def _tuples(cols, alphas, d, bound):
     """hn_degree_tuples on rational block weights."""
-    return hn_degree_tuples(cols, *_over_one_denominator(alphas), d, bound)
+    den, nums = _over_one_denominator(alphas)
+    return hn_degree_tuples(cols, den, nums, d, bound, engine._pairing_floors(cols, den, nums))
 
 
 def _brute_tuples(cols, alphas, d, bound, window):
@@ -362,10 +368,21 @@ LADDER_TWO = make_data(
 )
 
 
+def _int_block(data, den):
+    """A block as the recursion keys it: per point, the multiplicities and
+    the weight numerators over den, zero rows dropped."""
+    data = canonical_form(data)
+    return (
+        tuple(p.mults for p in data.points),
+        tuple(tuple(int(w * den) for w in p.weights) for p in data.points),
+    )
+
+
 def _per_tuple_term(rec, part, d, trunc):
     """The recursion step with one series product per degree tuple."""
     g = rec.genus
     blocks = [canonical_form(b) for b in part.blocks()]
+    keys = [_int_block(b, rec.den) for b in blocks]
     r = part.length
     cols = part.cols
     sigma = inv_count(part)
@@ -379,7 +396,7 @@ def _per_tuple_term(rec, part, d, trunc):
     certs = []
     for k, b in enumerate(blocks):
         probe = trunc - 2 * (min_pairing - sigma) - (sum(qhat_orders) - qhat_orders[k])
-        by_residue = {rho: rec.q_series(b, rho, probe) for rho in range(b.rank)}
+        by_residue = {rho: rec.q_series(keys[k], rho, probe) for rho in range(b.rank)}
         per_block.append(by_residue)
         certs.append(min(s.order_bound() for s in by_residue.values()))
     bound = (trunc - sum(certs)) // 2 + sigma
@@ -400,7 +417,7 @@ def _per_tuple_term(rec, part, d, trunc):
             for k in range(r):
                 rho = dvec[k] % blocks[k].rank
                 per_block[k][rho] = rec.q_series(
-                    blocks[k], rho, per_block[k][rho].trunc + bump
+                    keys[k], rho, per_block[k][rho].trunc + bump
                 )
         if prod is not None:
             acc = acc + prod.shift(shift)
@@ -409,16 +426,18 @@ def _per_tuple_term(rec, part, d, trunc):
 
 @pytest.mark.parametrize("genus", [0, 1, 2])
 def test_recursion_step_matches_per_tuple_sum(genus):
-    """Grouping degree tuples by block multiset changes no coefficient: the
-    step is the full count minus one per-tuple sum per stratum."""
+    """Grouping degree tuples by block multiset and nesting the multisets'
+    products by Horner's rule changes no coefficient: the step is the full
+    count minus one per-tuple sum per stratum."""
     trunc = 16
     parts = partitions(LADDER_TWO, min_length=2)
     assert len(parts) > 10
+    den, block = engine._integer_block(LADDER_TWO)
     nonzero = 0
     for d in range(3):
-        got = engine._Recursor(genus)._compute(LADDER_TWO, d, trunc)
-        per_tuple = engine._Recursor(genus)
-        want = engine._block_q(LADDER_TWO, genus).expand(trunc)
+        got = engine._Recursor(genus, den)._compute(block, d, trunc)
+        per_tuple = engine._Recursor(genus, den)
+        want = engine._block_q(block[0], genus).expand(trunc)
         for part in parts:
             term = _per_tuple_term(per_tuple, part, d, trunc)
             nonzero += bool(term.coeffs)
@@ -455,15 +474,16 @@ def _count_products(monkeypatch):
 
 
 def test_recursion_multiplies_once_per_residue_class(monkeypatch):
-    """Fewer series products than degree tuples, and fewer than residue
-    classes: classes of different strata with the same blocks share one
-    product.  One product per class and stratum made 221 series products
-    and 184 shift multiplications here; the enumeration is unchanged."""
+    """Fewer series products than degree tuples, and fewer than block
+    multisets: the multisets of all strata form one trie, and Horner's rule
+    over it makes one series product per inner node (30 here) plus the
+    bridge's.  One product per multiset factor made 49 series products, and
+    one per class and stratum 221; the enumeration is unchanged."""
     counts = _count_products(monkeypatch)
     res = recursion_poincare(Instance(3, 0, LADDER_TWO))
     assert res.poly == poincare_closed(Instance(3, 0, LADDER_TWO)).poly
     assert counts["tuples"] == 1213
-    assert counts["mul"] <= 49
+    assert counts["mul"] <= 31
     assert counts["mul_poly"] <= 47
 
 
@@ -473,8 +493,8 @@ def test_rank1_count_ignores_weights(genus):
     recursion and by the closed route, does not see the weights."""
     a = make_data([((1,), ("0",)), ((1,), ("1/3",))])
     b = make_data([((1,), ("5/7",)), ((1,), ("0",))])
-    line_a = engine._Recursor(genus).q_series(a, 0, 14)
-    assert line_a == engine._Recursor(genus).q_series(b, 1, 14)
+    line_a = engine._Recursor(genus, 3).q_series(_int_block(a, 3), 0, 14)
+    assert line_a == engine._Recursor(genus, 7).q_series(_int_block(b, 7), 1, 14)
     assert q_ratfunc(a, 0, genus).expand(14) == q_ratfunc(b, 1, genus).expand(14)
 
 
@@ -482,35 +502,100 @@ def test_recursor_keeps_one_rank1_entry():
     """A rank-3 run memoises one rank-1 series, although its rank-2 blocks
     start at other weights than the data."""
     for data in (R3, LADDER_TWO):
-        rec = engine._Recursor(1)
-        rec.q_series(data, 1, 16)
-        assert [key for key in rec.memo if key[0].rank == 2]
-        assert len([key for key in rec.memo if key[0].rank == 1]) == 1
+        den, block = engine._integer_block(data)
+        rec = engine._Recursor(1, den)
+        rec.q_series(block, 1, 16)
+        ranks = [sum(key[0][0][0]) for key in rec.memo]
+        assert ranks.count(2) and ranks.count(1) == 1
 
 
-def test_group_term_deepens_every_factor(monkeypatch):
-    """A product shorter than trunc deepens each distinct factor once per
-    retry, in place, and then equals the product of the deep series."""
-    rec = engine._Recursor(1)
-    line = make_data([((1,), ("0",))])
-    blocks = [(line, None), (R2, None)]
-    deep = {(0, 0): rec.q_series(line, 0, 30), (1, 1): rec.q_series(R2, 1, 30)}
+def test_recursor_keys_are_ints(monkeypatch):
+    """The recursion hashes no Fraction: every memo key is built of int
+    tuples, and a run on two full flags calls ``Fraction.__hash__`` zero
+    times."""
+
+    def ints_only(key):
+        if isinstance(key, tuple):
+            return all(ints_only(x) for x in key)
+        return type(key) is int
+
+    recursors = []
+
+    class Recorded(engine._Recursor):
+        def __init__(self, *args):
+            super().__init__(*args)
+            recursors.append(self)
+
+    hashes = []
+    fraction_hash = Fraction.__hash__
+
+    def counted(self):
+        hashes.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(engine, "_Recursor", Recorded)
+    inst = Instance(3, 0, LADDER_TWO)
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    res = recursion_poincare(inst)
+    monkeypatch.undo()
+    assert res.poly == poincare_closed(inst).poly
+    (rec,) = recursors
+    assert len(rec.memo) > 5 and all(ints_only(key) for key in rec.memo)
+    assert hashes == []
+
+
+def test_tables_walked_once_per_shape(monkeypatch):
+    """A recursion walks each point's tables once per (multiplicities,
+    block ranks), however many blocks and points meet that shape."""
+    walked, met = [], []
+    tables_for_point, strata = parabolic._tables_for_point, engine._strata
+
+    def counted(mults, cols):
+        walked.append((mults, cols))
+        return tables_for_point(mults, cols)
+
+    def shapes_met(mults, *args):
+        for cols, per_point in strata(mults, *args):
+            met.extend((m, cols) for m in mults)
+            yield cols, per_point
+
+    monkeypatch.setattr(parabolic, "_tables_for_point", counted)
+    monkeypatch.setattr(engine, "_strata", shapes_met)
+    for _ in range(2):  # nothing is kept from one compute to the next
+        walked.clear()
+        met.clear()
+        recursion_poincare(Instance(3, 0, LADDER_TWO))
+        assert sorted(walked) == sorted(set(met))
+        assert len(walked) == 4 and len(met) > 3 * len(walked)
+
+
+def test_horner_deepens_every_factor(monkeypatch):
+    """A product shorter than its branch needs deepens that branch's factor,
+    in place, after the subtrie below it has deepened its own; the pass
+    then equals the product of the deep series."""
+    den, r2 = engine._integer_block(R2)
+    line = (((1,),), ((0,),))
+    rec = engine._Recursor(1, den)
+    blocks = [(line, 1, None), (r2, 2, None)]
+    deep = {(0, 0): rec.q_series(line, 0, 30), (1, 1): rec.q_series(r2, 1, 30)}
     series = {p: s.truncate(s.order_bound() + 1) for p, s in deep.items()}
     fetched = []
     q_series = engine._Recursor.q_series
 
-    def counted(self, data, d, trunc):
-        fetched.append((data, d))
+    def counted(self, block, d, trunc):
+        fetched.append((block, d))
         assert len(fetched) <= 8, "deepening does not converge"
-        return q_series(self, data, d, trunc)
+        return q_series(self, block, d, trunc)
 
     monkeypatch.setattr(engine._Recursor, "q_series", counted)
-    pairs, shifts = ((0, 0), (0, 0), (1, 1)), {0: 1, 4: 2}
-    got = rec._group_term(pairs, shifts, blocks, series, 12)
+    shifts = {0: 1, 4: 2}
+    # the one multiset {(0, 0), (0, 0), (1, 1)} as a trie
+    trie = {(0, 0): ({}, {(0, 0): ({}, {(1, 1): (shifts, {})})})}
+    got = rec._horner(trie, 12, blocks, series)
     want = (deep[0, 0] * deep[0, 0] * deep[1, 1]).mul_poly(LaurentPoly(shifts))
-    assert got.trunc >= 12 and want.trunc >= 12
-    assert got.truncate(12) == want.truncate(12)
-    assert {(line, 0), (R2, 1)} == set(fetched)
+    assert got.trunc == 12 and want.trunc >= 12
+    assert got == want.truncate(12)
+    assert {(line, 0), (r2, 1)} == set(fetched)
     assert series == deep
 
 
@@ -569,7 +654,7 @@ def _oracle_exponent(part, blocks, genus, d, method):
             + floor_sum_genus(part, lam, genus)
         )
     return 2 * (linear_offset(part, d) + floor_sum(part, lam)) - sum(
-        engine._count_shift(b, genus) for b in blocks
+        engine._count_shift(_mults(b), genus) for b in blocks
     )
 
 
@@ -585,7 +670,7 @@ def _per_partition_sum(data, genus, d, method):
             _chain_factors(part.cols),
         )
         for b in blocks:
-            term = term * block_factor(b, genus)
+            term = term * block_factor(_mults(b), genus)
         total = total + term
     return total
 
@@ -627,7 +712,7 @@ def _oracle_classes(data, genus, d, method):
         blocks = part.blocks()
         factors = _chain_factors(part.cols)
         for b in blocks:
-            for k, e in block_factor(b, 0).factors.items():
+            for k, e in block_factor(_mults(b), 0).factors.items():
                 factors[k] = factors.get(k, 0) + e
         key = (tuple(sorted(part.cols)), tuple(sorted((k, e) for k, e in factors.items() if e)))
         monomials = classes.setdefault(key, {})
@@ -702,7 +787,7 @@ def test_closed_sum_adds_once_per_class(monkeypatch):
     for part in parts:
         factors = _chain_factors(part.cols)
         for b in part.blocks():
-            for k, e in block_factor(b, 0).factors.items():
+            for k, e in block_factor(_mults(b), 0).factors.items():
                 factors[k] = factors.get(k, 0) + e
         classes.add((tuple(sorted(part.cols)), frozenset((k, e) for k, e in factors.items() if e)))
     adds = []

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from parbetti import laurent
 from parbetti.laurent import (
     LaurentPoly,
     LaurentSeries,
     NonDivisible,
     TruncationLimit,
+    _product,
     one_plus,
 )
 from parbetti.ratfunc import FactoredRatFunc
@@ -235,6 +237,80 @@ def test_products_and_sums_match_naive_loops():
             assert _stored_well(res)
         cancelled += len(total.coeffs) < len(set(a) | set(b))
     assert cancelled > 20  # the operands really do cancel
+
+
+def _kernel_operands(rng, terms):
+    """A dict of the given number of terms: negative exponents, gaps, mixed
+    signs, and coefficients from one digit to past 2^64 and 2^128."""
+    exps = rng.sample(range(-15, 3 * terms + 10), terms)
+    size = rng.choice((3, 2**20, 2**63, 2**70, 2**130))
+    return {e: rng.choice((-1, 1)) * rng.randint(1, size) for e in exps}
+
+
+def test_product_kernel_matches_naive_loop(monkeypatch):
+    """``_product`` against the double loop on both branches: the term loop
+    up to ``_SPARSE_TERMS`` terms in the shorter operand, one packed
+    big-int multiply beyond, sizes at the threshold included, with ``top``
+    below, inside and above the product's exponent range."""
+    import random
+
+    rng = random.Random(17)
+    limit = laurent._SPARSE_TERMS
+    packed = []
+    packed_product = laurent._packed_product
+
+    def recorded(a, b, top):
+        packed.append(min(len(a), len(b)))
+        return packed_product(a, b, top)
+
+    monkeypatch.setattr(laurent, "_packed_product", recorded)
+    sizes = [1, 2, limit - 1, limit, limit + 1, limit + 2, 12, 30]
+    for short in sizes:
+        for long in (short, short + 3, 40):
+            for _ in range(12):
+                a, b = _kernel_operands(rng, short), _kernel_operands(rng, long)
+                if rng.random() < 0.5:
+                    a, b = b, a
+                lo, hi = min(a) + min(b), max(a) + max(b)
+                for top in (None, lo - 1, lo, rng.randint(lo, hi), hi, hi + 5):
+                    calls = len(packed)
+                    got = _product(a, b, top)
+                    assert got == _naive_product(a, b, top)
+                    assert all(type(c) is int and c for c in got.values())
+                    assert (len(packed) > calls) == (short > limit)
+    # (1 - t) a times (1 + t + ... + t^m) b is (1 - t^(m+1)) a b: a product
+    # whose middle cancels, coefficients past 2^64 included
+    for short in (limit, limit + 1, 9):
+        for _ in range(10):
+            a, b = _kernel_operands(rng, short), _kernel_operands(rng, short + 2)
+            m = (max(a) + max(b)) - (min(a) + min(b)) + 1
+            x = _naive_product(a, {0: 1, 1: -1})
+            y = _naive_product(b, dict.fromkeys(range(m + 1), 1))
+            got = _product(x, y)
+            assert got == _naive_product(x, y)
+            assert all(type(c) is int and c for c in got.values())
+            assert got == _naive_product(_naive_product(a, b), {0: 1, m + 1: -1})
+    assert sorted(set(packed))[0] == limit + 1
+
+
+def test_mul_poly_by_two_sparse_terms(monkeypatch):
+    """``mul_poly`` by t^0 + t^N, N from 1 to far past the series' length,
+    takes the term loop and equals the naive double loop."""
+    import random
+
+    def unexpected(a, b, top):
+        raise AssertionError("a two-term operand was packed")
+
+    monkeypatch.setattr(laurent, "_packed_product", unexpected)
+    rng = random.Random(5)
+    for n in (1, 3, 25, 400):
+        coeffs = _kernel_operands(rng, 20)
+        s = LaurentSeries(coeffs, max(coeffs) + 2)
+        poly = P({0: 1, n: 1})
+        got = s.mul_poly(poly)
+        assert got.trunc == s.trunc
+        assert got.coeffs == _naive_product(s.coeffs, poly.coeffs, s.trunc)
+        assert _stored_well(got)
 
 
 def test_product_past_max_truncation_rejected():

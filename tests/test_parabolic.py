@@ -168,7 +168,7 @@ def test_partitions_against_brute_force():
         data = make_data(list(zip(mults, weights)))
         den, scaled = _integer_weights(data)
         got = []
-        for cols, per_point in _strata(data, scaled, 1):
+        for cols, per_point in _strata(mults, scaled, 1, {}):
             for tables in product(*per_point):
                 got.append((cols, tuple(t[0] for t in tables)))
                 part = Partition(data, cols, got[-1][1])
@@ -180,7 +180,7 @@ def test_partitions_against_brute_force():
                 assert [F(a, den) for a in nums] == [weight_sum(b) for b in part.blocks()]
         assert len(set(got)) == len(got)
         assert got == [(p.cols, p.tables) for p in partitions(data)]
-        longer = [cols for cols, _ in _strata(data, scaled, 2)]
+        longer = [cols for cols, _ in _strata(mults, scaled, 2, {})]
         assert longer == list(dict.fromkeys(c for c, _ in got if len(c) >= 2))
         assert set(got) == brute_partitions([tuple(m) for m in mults])
 
