@@ -2,21 +2,21 @@
 
 Exit codes: 0 success, 1 invalid input or usage, 2 refusal on strictly
 semistable input (or an integral gap sum on the rank-2 route), 3 a failed
-certificate, routes that disagree under compare, or a dead sweep worker.
-A sweep of more than ``MAX_SWEEP_CELLS`` = 10 000 (genus, degree) cells
-is refused with exit 1 before any cell runs.  So is, by ``engine.compute``
-and for every route, an instance whose twice-dimension is past the series
-limit ``MAX_TRUNCATION`` = 20 000: one ``error:`` line, before any
-numerator or series is built.  A sweep whose every cell fails exits as its
-cells do: 2 if all were refusals, 1 if all were invalid input (an
-inapplicable method or that limit), 3 otherwise.
+certificate or routes that disagree under compare.  Usage errors print
+one ``error:`` line, as invalid documents do.  A sweep of more than
+``MAX_SWEEP_CELLS`` = 10 000 (genus, degree) cells is refused with exit 1
+before any cell runs.  So is, by ``engine.compute`` and for every route, an
+instance whose twice-dimension is past the series limit ``MAX_TRUNCATION``
+= 20 000: one ``error:`` line, before any numerator or series is built.
+Sweeps run in this process (``engine.sweep``); one whose every cell fails
+exits as its cells do: 2 if all were refusals, 1 if all were invalid input
+(an inapplicable method or that limit), 3 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -29,6 +29,7 @@ from .engine import (
     applicable_methods,
     compare_methods,
     compute,
+    sweep,
 )
 from .laurent import TruncationLimit
 from .parabolic import (
@@ -46,12 +47,11 @@ EXIT_INVALID = 1
 EXIT_REFUSED = 2
 EXIT_INTERNAL = 3
 
-WORKERS_VAR = "PARBETTI_WORKERS"
 MAX_SWEEP_CELLS = 10_000
 
 
 class DocumentError(ValueError):
-    """Invalid instance document; message names the offending field."""
+    """Invalid document or argument; message names the offending field."""
 
 
 def _parse_weight(text, where):
@@ -214,7 +214,7 @@ def _emit_result(res, fmt, out, timing=None, label=None):
         out.write(",".join(cols) + "\n")
         out.write(",".join(row) + "\n")
     elif fmt == "latex":
-        out.write(_latex_table([(label or "", _cell_from_result(res))]))
+        out.write(_latex_table([(label or "", _cell(res))]))
     elif fmt == "text":
         out.write(f"method: {res.method}\n")
         out.write(f"dimension: {res.dim}\n")
@@ -228,9 +228,13 @@ def _emit_result(res, fmt, out, timing=None, label=None):
         raise DocumentError(f"unknown format {fmt!r}")
 
 
-def _cell_from_result(res):
-    middle = [0] if res.empty else list(res.middle_betti())
-    return {"middle": middle, "dim": res.dim, "empty": res.empty, "error": None}
+def _cell(outcome):
+    """A table cell: a result, or the exception raised in its place."""
+    if isinstance(outcome, Exception):
+        error = f"{type(outcome).__name__}: {outcome}"
+        return {"middle": [], "dim": None, "empty": None, "error": error}
+    middle = [0] if outcome.empty else list(outcome.middle_betti())
+    return {"middle": middle, "dim": outcome.dim, "empty": outcome.empty, "error": None}
 
 
 def _latex_table(columns):
@@ -320,67 +324,6 @@ def _parse_range(text, fallback):
     return range(lo, lo + 1)
 
 
-def _sweep_cell(payload):
-    genus, degree, specs, method, truncation, force = payload
-    try:
-        instance = Instance(genus, degree, make_data(specs))
-        res = compute(instance, method, truncation=truncation, force=force)
-    except Exception as exc:  # rendered as a table annotation
-        return {
-            "middle": [],
-            "dim": None,
-            "empty": None,
-            "error": f"{type(exc).__name__}: {exc}",
-        }
-    return _cell_from_result(res)
-
-
-def _forked_cells(jobs, w):
-    """Cells of jobs in order over w stripes: forked child k (0 < k < w) runs
-    jobs[k::w] and pipes its cells back as one JSON list; stripe 0 runs here."""
-    children, outputs, codes = [], [], []
-    try:
-        for k in range(1, w):
-            rfd, wfd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                # only _exit: never unwind the caller's stack or flush its stdio
-                try:
-                    with open(wfd, "w", encoding="utf-8") as fh:
-                        json.dump([_sweep_cell(job) for job in jobs[k::w]], fh)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(wfd)
-            children.append((pid, open(rfd, encoding="utf-8")))
-        cells = [None] * len(jobs)
-        cells[::w] = [_sweep_cell(job) for job in jobs[::w]]
-        outputs = [fh.read() for _, fh in children]
-    finally:
-        for pid, fh in children:
-            fh.close()
-            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for k, (code, raw) in enumerate(zip(codes, outputs), 1):
-        if code != 0:
-            raise ChildProcessError(f"sweep worker {k} exited with status {code}")
-        try:
-            cells[k::w] = json.loads(raw)
-        except (ValueError, TypeError) as exc:  # not JSON, or not a list of one cell per job
-            raise ChildProcessError(f"sweep worker {k} sent unreadable output") from exc
-    return cells
-
-
-def _worker_count():
-    raw = os.environ.get(WORKERS_VAR)
-    if raw is None or not raw.strip():
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise DocumentError(f"{WORKERS_VAR} must be an integer, got {raw!r}") from exc
-    return max(n, 1)
-
-
 def cmd_sweep(args, out=None):
     out = out or sys.stdout
     instance, options = _load_document(args.input)
@@ -392,29 +335,18 @@ def cmd_sweep(args, out=None):
     cells = (genera.stop - genera.start) * (degrees.stop - degrees.start)
     if cells > MAX_SWEEP_CELLS:
         raise DocumentError(f"sweep of {cells} cells exceeds the limit of {MAX_SWEEP_CELLS}")
-    specs = tuple(
-        (tuple(pt.mults), tuple(str(w) for w in pt.weights))
-        for pt in instance.data.points
-    )
-    jobs = [
-        (g, d, specs, options["method"], options["truncation"], options["force"])
-        for g in genera
-        for d in degrees
-    ]
-    workers = min(_worker_count(), len(jobs), os.cpu_count() or 1)
-    if workers >= 2 and hasattr(os, "fork"):
-        cells = _forked_cells(jobs, workers)
-    else:
-        cells = [_sweep_cell(job) for job in jobs]
+    grid = [(g, d) for g in genera for d in degrees]
+    outcomes = sweep(instance.data, genera, degrees, options["method"],
+                     options["truncation"], options["force"])
     columns = []
-    for (g, d, *_), cell in zip(jobs, cells):
+    for (g, d), outcome in zip(grid, outcomes):
         if len(degrees) == 1:
             label = f"$g={g}$"
         elif len(genera) == 1:
             label = f"$d={d}$"
         else:
             label = f"$g={g},d={d}$"
-        columns.append((label, cell))
+        columns.append((label, _cell(outcome)))
     if all(c["error"] is not None for _, c in columns):
         for label, cell in columns:
             sys.stderr.write(f"error {label}: {cell['error']}\n")
@@ -430,7 +362,7 @@ def cmd_sweep(args, out=None):
         depth = max(len(c["middle"]) for _, c in columns if c["error"] is None)
         header = ["g", "d"] + ["dim", "empty"] + [f"b{i}" for i in range(depth)] + ["error"]
         out.write(",".join(header) + "\n")
-        for (g, d, *_), cell in zip(jobs, cells):
+        for (g, d), (_, cell) in zip(grid, columns):
             if cell["error"] is not None:
                 row = [str(g), str(d)] + [""] * (depth + 2) + [cell["error"]]
             else:
@@ -481,8 +413,15 @@ def cmd_check(args, out=None):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as invalid input: one ``error:`` line, exit 1."""
+
+    def error(self, message):
+        raise DocumentError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="parbetti",
         description="Betti numbers of moduli of parabolic stable bundles",
     )
@@ -504,7 +443,9 @@ def build_parser():
     p = sub.add_parser("sweep", help="tabulate Betti numbers over genus/degree ranges")
     p.add_argument("input")
     p.add_argument("--genus-range", default=None)
-    p.add_argument("--degree-range", default=None)
+    p.add_argument("--degree-range", default=None,
+                   help="A..B inclusive, or one value; write --degree-range=-3..-1 "
+                        "when it starts negative")
     p.add_argument("--format", choices=("latex", "csv"), default="latex")
     p.set_defaults(fn=cmd_sweep)
 
@@ -515,8 +456,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (DocumentError, MethodInapplicable, TruncationLimit) as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -524,7 +465,7 @@ def main(argv=None):
     except (StrictSemistable, IntegralPsi) as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return EXIT_REFUSED
-    except (NonPolynomialResult, TruncationTooSmall, ChildProcessError) as exc:
+    except (NonPolynomialResult, TruncationTooSmall) as exc:
         sys.stderr.write(f"internal check failed: {exc}\n")
         return EXIT_INTERNAL
 

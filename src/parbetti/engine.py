@@ -26,6 +26,9 @@ enters through its substituted count, the per-block factor of
   form a trie, and Horner's rule over it makes one series product per
   inner node.  All rank-1 blocks share one series, whatever their weights.
 
+``sweep`` solves a grid of genera and degrees, and on the closed routes
+finds each degree's stability witness and block classes once for every genus.
+
 All three end with the same shift-free bridge prefactor
 (1 - t)^(2g) (1 - t^2)^(1 - 2g), after a shift of their own; the recursion
 multiplies by the bridge's series expansion, so no series is inverted.
@@ -50,6 +53,7 @@ from .laurent import (
     TruncationTooSmall,
 )
 from .parabolic import (
+    Instance,
     _block_data,
     _integer_weights,
     _strata,
@@ -72,12 +76,13 @@ class MethodInapplicable(ValueError):
 METHODS = ("closed", "qclosed", "recursion", "rank2")
 
 
-def _check_stability(instance, force):
-    wit = slope_coincidence_witness(instance.data, instance.degree)
-    if wit is None:
+def _check_stability(witness, force):
+    """True when the ``slope_coincidence_witness`` is None; for strictly
+    semistable data, False under force and a refusal otherwise."""
+    if witness is None:
         return True
     if not force:
-        sub, e = wit
+        sub, e = witness
         raise StrictSemistable(
             f"sub-datum of rank {sub.rank} at degree {e} can sit at the "
             "total slope; rerun with force to evaluate the formula anyway"
@@ -114,7 +119,7 @@ def _certify(func, instance, method, ss_ok):
     return result_from_poly(poly, dim, method, ss_ok)
 
 
-def _block_classes(data, d, cols_term, table_term):
+def _block_classes(data, d, table_term):
     """The partitions of the closed routes' block sum, grouped by class.
 
     A partition is a composition ``cols`` of the rank (block ranks c_k) and
@@ -122,9 +127,12 @@ def _block_classes(data, d, cols_term, table_term):
     denominators.  The routes share the floored part of x,
     2 (sum_k (c_k + c_{k+1}) (floor(N_k lam - A_k) + 1) - (n - c_r) d), with
     N_k and A_k the rank and weight of the first k + 1 blocks and lam the
-    total slope, and add ``cols_term(cols)`` and, per point,
-    ``table_term(inv, coinv, sq)``: the table's cross-block pair counts and
-    the sum of its squared entries.
+    total slope, and add, per point, ``table_term(inv, coinv, sq)``: the
+    table's cross-block pair counts and the sum of its squared entries.
+    The genus enters x only through a term of the sorted block ranks, which
+    ``_block_sum`` adds per class, so the classes serve every genus.  They
+    are the same at d and d + n: each floor grows by N_k, and
+    sum_k (c_k + c_{k+1}) N_k = n (n - c_r) cancels the d term.
 
     No partition or block is built.  The weights are scaled once to integers
     over their lcm denominator D, so a floor is one integer division
@@ -152,7 +160,7 @@ def _block_classes(data, d, cols_term, table_term):
             for m, e in rank_denominator(c, data.num_points).items():
                 factors[m] = factors.get(m, 0) + e
         tops = [k * top for k in itertools.accumulate(cols[:-1])]
-        x0 = cols_term(cols) + 2 * (sum(pair_sums) - (n - cols[-1]) * d)
+        x0 = 2 * (sum(pair_sums) - (n - cols[-1]) * d)
         per_point = []
         for tables in strata:
             rows = []
@@ -191,30 +199,62 @@ def _block_classes(data, d, cols_term, table_term):
     return classes
 
 
-def _block_sum(data, genus, d, cols_term, table_term):
+def _block_sum(classes, genus, cols_term):
     """The alternating block decomposition sum behind both closed routes:
-    each class of ``_block_classes`` is one integer polynomial times its
-    blocks' numerators prod_{i<=c} (1 + t^{2i-1})^{2g}, added as one term."""
+    each class of ``_block_classes`` is one integer polynomial, times
+    t^``cols_term(ranks)`` of its block ranks and its blocks' numerators
+    prod_{i<=c} (1 + t^{2i-1})^{2g}, added as one term."""
     total = FactoredRatFunc.zero()
-    for (ranks, factors), monomials in _block_classes(data, d, cols_term, table_term).items():
+    for (ranks, factors), monomials in classes.items():
         numer = _odd_plus_product(monomials, ranks, genus)
-        total = total + FactoredRatFunc(0, numer, dict(factors))
+        total = total + FactoredRatFunc(cols_term(ranks), numer, dict(factors))
     return total
+
+
+def _count_sum(data, genus, classes):
+    """The count side's block sum over the classes of ``_block_classes``."""
+    s = data.num_points
+    # minus each block's shift n_b^2 (g - 1) + 2 flag_dim(b), where
+    # 2 flag_dim(b) is s n_b^2 minus the squares of the block's column in
+    # every table (the table term adds those)
+    return _block_sum(classes, genus, lambda ranks: -(genus - 1 + s) * sum(c * c for c in ranks))
+
+
+# the closed routes' exponent per table, from its cross-block pair counts
+# and the sum of its squared entries: the Betti side and the count side
+_TABLE_TERMS = {
+    "closed": lambda inv, coinv, sq: 2 * coinv,
+    "qclosed": lambda inv, coinv, sq: sq - 2 * inv,
+}
+
+
+def _closed_route(instance, method, force, witnesses, classes):
+    """Betti polynomial of a closed route.  Its genus-free work is looked up
+    in, or added to, the caller's dicts: ``witnesses`` maps a degree to its
+    ``slope_coincidence_witness``, ``classes`` a degree mod the rank to its
+    block classes."""
+    data, d, g = instance.data, instance.degree, instance.genus
+    if d not in witnesses:
+        witnesses[d] = slope_coincidence_witness(data, d)
+    ss_ok = _check_stability(witnesses[d], force)
+    key = d % data.rank
+    if key not in classes:
+        classes[key] = _block_classes(data, d, _TABLE_TERMS[method])
+    if method == "closed":
+        n = data.rank
+        # twice the genus pairing (g - 1) sum_{k<l} c_k c_l of the block ranks
+        func = _block_sum(
+            classes[key], g, lambda ranks: (g - 1) * (n * n - sum(c * c for c in ranks))
+        )
+    else:
+        shift = _count_shift([p.mults for p in data.points], g)
+        func = FactoredRatFunc.monomial(shift) * _count_sum(data, g, classes[key])
+    return _certify(func * _bridge(g), instance, method, ss_ok)
 
 
 def poincare_closed(instance, force=False):
     """Betti polynomial by the direct closed formula."""
-    data, d, g = instance.data, instance.degree, instance.genus
-    ss_ok = _check_stability(instance, force)
-    n = data.rank
-    # the Betti side: 2 coinv per point, and twice the genus pairing
-    # (g - 1) sum_{k<l} c_k c_l of the block ranks
-    func = _block_sum(
-        data, g, d,
-        lambda cols: (g - 1) * (n * n - sum(c * c for c in cols)),
-        lambda inv, coinv, sq: 2 * coinv,
-    )
-    return _certify(func * _bridge(g), instance, "closed", ss_ok)
+    return _closed_route(instance, "closed", force, {}, {})
 
 
 def q_ratfunc(data, d, genus):
@@ -225,23 +265,12 @@ def q_ratfunc(data, d, genus):
     block factor shifted by t^(-n^2(g-1) - 2 flag_dim).  The r = 1 term is
     the full-family count itself.
     """
-    s = data.num_points
-    # the count side: -2 inv per point, and minus each block's shift
-    # n_b^2 (g - 1) + 2 flag_dim(b), where 2 flag_dim(b) is s n_b^2 minus
-    # the squares of the block's column in every table
-    return _block_sum(
-        data, genus, d,
-        lambda cols: -(genus - 1 + s) * sum(c * c for c in cols),
-        lambda inv, coinv, sq: sq - 2 * inv,
-    )
+    return _count_sum(data, genus, _block_classes(data, d, _TABLE_TERMS["qclosed"]))
 
 
 def poincare_qclosed(instance, force=False):
     """Betti polynomial via the count route and the bridge prefactor."""
-    data, d, g = instance.data, instance.degree, instance.genus
-    ss_ok = _check_stability(instance, force)
-    pre = FactoredRatFunc.monomial(_count_shift([p.mults for p in data.points], g)) * _bridge(g)
-    return _certify(pre * q_ratfunc(data, d, g), instance, "qclosed", ss_ok)
+    return _closed_route(instance, "qclosed", force, {}, {})
 
 
 def _pairing_floors(cols, den, nums):
@@ -499,7 +528,7 @@ def recursion_poincare(instance, truncation=None, force=False):
     self-check of this route.
     """
     data, d, g = instance.data, instance.degree, instance.genus
-    ss_ok = _check_stability(instance, force)
+    ss_ok = _check_stability(slope_coincidence_witness(data, d), force)
     dim = moduli_dim(data, g)
     # at negative dimension the floor of 2 keeps t^0..t^2 in the zero band
     n_master = max(2 * dim + 2, 2) if truncation is None else truncation
@@ -550,17 +579,20 @@ def siegel_check(data, genus, d, order):
     return (diff is None, diff)
 
 
-def compute(instance, method="closed", truncation=None, force=False):
-    """Run one route.  Truncation only matters for the recursion route.
-
-    The polynomial reaches t^(2 dim), so 2 dim past ``MAX_TRUNCATION`` is
-    refused (``TruncationLimit``) before any route starts.
-    """
+def _check_dimension(instance):
+    """The polynomial reaches t^(2 dim), so 2 dim past ``MAX_TRUNCATION`` is
+    refused (``TruncationLimit``) before any route starts."""
     top = 2 * moduli_dim(instance.data, instance.genus)
     if top > MAX_TRUNCATION:
         raise TruncationLimit(
             f"twice the dimension, {top}, exceeds the truncation limit {MAX_TRUNCATION}"
         )
+
+
+def compute(instance, method="closed", truncation=None, force=False):
+    """Run one route.  Truncation only matters for the recursion route.
+    Twice the dimension past ``MAX_TRUNCATION`` is refused first."""
+    _check_dimension(instance)
     if method == "closed":
         return poincare_closed(instance, force)
     if method == "qclosed":
@@ -576,6 +608,30 @@ def compute(instance, method="closed", truncation=None, force=False):
             raise MethodInapplicable(str(exc)) from exc
         return _rank2.poincare_rank2(profile)
     raise MethodInapplicable(f"unknown method {method!r}")
+
+
+def sweep(data, genera, degrees, method="closed", truncation=None, force=False):
+    """The list, for each genus and then each degree, of what ``compute``
+    gives on ``Instance(g, d, data)``: its result or the exception it raises.
+
+    On a closed route the genus enters only per class of the block sum, so
+    the stability witness is found once per degree and the block classes
+    once per degree mod the rank, for this call only.
+    """
+    outcomes, witnesses, classes = [], {}, {}
+    for g in genera:
+        for d in degrees:
+            try:
+                instance = Instance(g, d, data)
+                if method in _TABLE_TERMS:
+                    _check_dimension(instance)
+                    outcome = _closed_route(instance, method, force, witnesses, classes)
+                else:
+                    outcome = compute(instance, method, truncation, force)
+            except Exception as exc:  # the caller reports it as the cell's error
+                outcome = exc
+            outcomes.append(outcome)
+    return outcomes
 
 
 def applicable_methods(instance):

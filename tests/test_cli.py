@@ -7,7 +7,7 @@ import signal
 
 import pytest
 
-from parbetti import cli
+from parbetti import cli, engine
 from parbetti.cli import (
     EXIT_INTERNAL,
     EXIT_INVALID,
@@ -18,6 +18,9 @@ from parbetti.cli import (
     main,
     parse_document,
 )
+from parbetti.engine import StrictSemistable, compute
+from parbetti.parabolic import Instance
+from parbetti.result import NonPolynomialResult
 
 CASE_A = {
     "genus": 2,
@@ -352,10 +355,10 @@ def test_sweep_bad_range(tmp_path, capsys):
 
 
 def test_sweep_negative_genus_rejected_before_any_cell(tmp_path, capsys, monkeypatch):
-    def refuse(payload):
+    def refuse(*args):
         raise AssertionError("a sweep cell ran")
 
-    monkeypatch.setattr(cli, "_sweep_cell", refuse)
+    monkeypatch.setattr(cli, "sweep", refuse)
     path = _doc(tmp_path, CASE_A)
     for text in ("-3..-1", "-1..1", "-2"):
         assert main(["sweep", path, f"--genus-range={text}"]) == EXIT_INVALID
@@ -369,7 +372,7 @@ def test_sweep_refuses_oversized_grid_before_building_it(tmp_path, capsys, monke
     def refuse(*args):
         raise AssertionError("the sweep started work")
 
-    monkeypatch.setattr(cli, "_sweep_cell", refuse)
+    monkeypatch.setattr(cli, "sweep", refuse)
     monkeypatch.setattr(os, "fork", refuse)
     path = _doc(tmp_path, CASE_A)
     assert main(["sweep", path, "--degree-range", "0..100000000000"]) == EXIT_INVALID
@@ -393,106 +396,124 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == serial
 
 
-def _count_forks(monkeypatch, cpus):
-    """Report cpus CPUs, and record the pid of every child os.fork starts."""
+RANK4 = [{"weights": ["0", "1/8", "1/4", "1/2"], "multiplicities": [1, 1, 1, 1]}]
+
+
+def test_sweep_walks_block_classes_once_per_degree(tmp_path, capsys, monkeypatch):
+    """A closed sweep finds each degree's block classes once for all its
+    genera, and a degree d + n reuses those of d."""
+    walks = []
+    walk = engine._block_classes
+
+    def counted(data, d, *terms):
+        walks.append(d)
+        return walk(data, d, *terms)
+
+    monkeypatch.setattr(engine, "_block_classes", counted)
+    path = _doc(tmp_path, dict(CASE_A, points=RANK4))
+    argv = ["sweep", path, "--genus-range", "0..4", "--degree-range", "0..3", "--format", "csv"]
+    assert main(argv) == EXIT_OK
+    assert walks == [0, 1, 2, 3]
+    walks.clear()
+    path = _doc(tmp_path, CASE_A)
+    assert main(["sweep", path, "--genus-range", "0..4", "--degree-range=-2..1"]) == EXIT_OK
+    assert walks == [-2, -1]
+    capsys.readouterr()
+
+
+def test_sweep_starts_no_process(tmp_path, capsys, monkeypatch):
     forks = []
     real_fork = os.fork
 
     def fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
+        forks.append(os.getpid())
+        return real_fork()
 
     monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    return forks
-
-
-def _assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
-def test_sweep_pool_no_larger_than_its_jobs(tmp_path, capsys, monkeypatch):
-    path = _doc(tmp_path, CASE_A)
-    argv = ["sweep", path, "--genus-range", "1..2", "--format", "csv"]
-    monkeypatch.delenv("PARBETTI_WORKERS", raising=False)
-    assert main(argv) == EXIT_OK
-    serial = capsys.readouterr().out
-    forks = _count_forks(monkeypatch, cpus=64)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setenv("PARBETTI_WORKERS", "64")
+    path = _doc(tmp_path, dict(CASE_A, points=RANK4))
+    argv = ["sweep", path, "--genus-range", "0..4", "--degree-range", "0..3", "--format", "csv"]
     assert main(argv) == EXIT_OK
-    assert capsys.readouterr().out == serial
-    assert len(forks) == 1
-    _assert_reaped(forks)
+    assert forks == []
+    capsys.readouterr()
 
 
-def test_sweep_forks_no_more_than_the_cpus(tmp_path, capsys, monkeypatch):
-    path = _doc(tmp_path, CASE_A)
-    argv = ["sweep", path, "--genus-range", "0..2", "--format", "csv"]
-    monkeypatch.delenv("PARBETTI_WORKERS", raising=False)
+def _sweep_csv_from_computes(data, genera, degrees, method, force):
+    """The csv a sweep prints, built from one ``compute`` per cell."""
+    rows = []
+    for g in genera:
+        for d in degrees:
+            try:
+                res = compute(Instance(g, d, data), method, force=force)
+            except (StrictSemistable, NonPolynomialResult) as exc:
+                rows.append(([str(g), str(d), "", ""], [], f"{type(exc).__name__}: {exc}"))
+            else:
+                mid = [0] if res.empty else list(res.middle_betti())
+                rows.append(([str(g), str(d), str(res.dim), str(res.empty).lower()], mid, ""))
+    depth = max(len(mid) for _, mid, error in rows if not error)
+    lines = [["g", "d", "dim", "empty"] + [f"b{i}" for i in range(depth)] + ["error"]]
+    for head, mid, error in rows:
+        lines.append(head + [str(b) for b in mid] + [""] * (depth - len(mid)) + [error])
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+SWEEP_DATA = {
+    # strictly semistable at even degrees
+    "rank2": [{"weights": ["0", "1/3"], "multiplicities": [1, 1]}] * 2,
+    "rank3-two": [
+        {"weights": ["0", "1/12", "3/12"], "multiplicities": [1, 1, 1]},
+        {"weights": ["1/12", "5/12", "6/12"], "multiplicities": [1, 1, 1]},
+    ],
+    "rank4-partial": [
+        {"weights": ["0", "1/7", "2/7"], "multiplicities": [2, 1, 1]},
+        {"weights": ["1/11", "2/13", "5/17"], "multiplicities": [1, 1, 2]},
+    ],
+}
+
+
+@pytest.mark.parametrize("name, method, force", [
+    (name, method, False) for name in SWEEP_DATA for method in ("closed", "qclosed")
+] + [("rank2", "closed", True)])
+def test_sweep_csv_equals_per_cell_computes(tmp_path, capsys, name, method, force):
+    """Sharing each degree's work across genera changes no byte: g - 1 <= 0
+    turns the per-class genus term's sign, and d runs over more than one
+    period of the rank."""
+    doc = dict(CASE_A, points=SWEEP_DATA[name], options={"method": method, "force": force})
+    instance, _ = parse_document(doc)
+    n = instance.data.rank
+    path = _doc(tmp_path, doc)
+    argv = ["sweep", path, "--genus-range", "0..6", f"--degree-range=-2..{n + 1}",
+            "--format", "csv"]
     assert main(argv) == EXIT_OK
-    serial = capsys.readouterr().out
-    forks = _count_forks(monkeypatch, cpus=2)
-    monkeypatch.setenv("PARBETTI_WORKERS", "1000")
-    assert main(argv) == EXIT_OK
-    assert capsys.readouterr().out == serial
-    assert len(forks) == 1
-    _assert_reaped(forks)
+    want = _sweep_csv_from_computes(instance.data, range(7), range(-2, n + 2), method, force)
+    assert capsys.readouterr().out == want
+    if name == "rank2":
+        assert ("NonPolynomialResult" if force else "StrictSemistable: sub-datum") in want
 
 
-def test_sweep_without_fork_runs_serially(tmp_path, capsys, monkeypatch):
-    path = _doc(tmp_path, CASE_A)
-    argv = ["sweep", path, "--genus-range", "1..2", "--format", "csv"]
-    monkeypatch.delenv("PARBETTI_WORKERS", raising=False)
-    assert main(argv) == EXIT_OK
-    serial = capsys.readouterr().out
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.delattr(os, "fork")
-    monkeypatch.setenv("PARBETTI_WORKERS", "2")
-    assert main(argv) == EXIT_OK
-    assert capsys.readouterr().out == serial
-
-
-@pytest.mark.parametrize("failure, message", [
-    ("exit", "sweep worker 1 exited with status 9"),
-    ("garble", "sweep worker 1 sent unreadable output"),
+@pytest.mark.parametrize("argv, fragment", [
+    ([], "the following arguments are required: command"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    (["compute"], "the following arguments are required: input"),
+    (["compute", "inst.json", "--method", "nope"], "argument --method: invalid choice: 'nope'"),
+    (["sweep", "inst.json", "--degree-range", "-3..-1"],
+     "argument --degree-range: expected one argument"),
 ])
-def test_sweep_dead_worker_exits_3(tmp_path, capsys, monkeypatch, failure, message):
-    parent, real_dump = os.getpid(), json.dump
-
-    def die(payload):
-        if os.getpid() != parent:
-            os._exit(9)
-        return {"middle": [1], "dim": 0, "empty": False, "error": None}
-
-    def garble(obj, fh):
-        if os.getpid() == parent:
-            return real_dump(obj, fh)
-        fh.write("[{not json")
-
-    forks = _count_forks(monkeypatch, cpus=2)
-    if failure == "exit":
-        monkeypatch.setattr(cli, "_sweep_cell", die)
-    else:
-        monkeypatch.setattr(json, "dump", garble)
-    monkeypatch.setenv("PARBETTI_WORKERS", "2")
-    path = _doc(tmp_path, CASE_A)
-    assert main(["sweep", path, "--genus-range", "1..2"]) == EXIT_INTERNAL
+def test_usage_error_exits_1_with_one_line(capsys, argv, fragment):
+    assert main(argv) == EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"internal check failed: {message}\n"
-    assert len(forks) == 1
-    _assert_reaped(forks)
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and fragment in captured.err
 
 
-def test_sweep_bad_worker_var(tmp_path, capsys, monkeypatch):
+def test_sweep_negative_degree_range_with_equals(tmp_path, capsys):
+    """A range that starts negative is passed as ``--degree-range=-3..-1``."""
     path = _doc(tmp_path, CASE_A)
-    monkeypatch.setenv("PARBETTI_WORKERS", "many")
-    assert main(["sweep", path]) == EXIT_INVALID
-    capsys.readouterr()
+    assert main(["sweep", path, "--degree-range=-3..-1", "--format", "csv"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[:2] for line in lines[1:]] == [["2", "-3"], ["2", "-2"], ["2", "-1"]]
 
 
 # -- check -----------------------------------------------------------------

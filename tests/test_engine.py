@@ -688,13 +688,14 @@ def test_block_sum_matches_per_partition_sum(monkeypatch, genus):
     monkeypatch.setattr(engine, "_block_sum", recorded)
     for data, d in ((R3_TWO, 1), (R4, 1), (LADDER_TWO, 0), (PARTIAL_R4, 1)):
         for method in ("closed", "qclosed"):
+            calls.clear()
             try:
                 compute(Instance(genus, d, data), method, force=True)
             except NonPolynomialResult:
                 pass
-    assert len(calls) == 8
-    for args, method in zip(calls, ("closed", "qclosed") * 4):
-        assert block_sum(*args) == _per_partition_sum(*args[:3], method)
+            (args,) = calls
+            assert args[1] == genus
+            assert block_sum(*args) == _per_partition_sum(data, genus, d, method)
 
 
 class _Recorded(Exception):
@@ -769,11 +770,19 @@ def test_block_classes_match_rational_reference(monkeypatch):
             with pytest.raises(_Recorded):
                 compute(Instance(genus, d, data), method, force=True)
             (args,) = calls
-            assert args[:3] == (data, genus, d)
+            classes, g, cols_term = args
+            assert g == genus
+            # the route's classes leave out the genus term of their block ranks
             want, neg = _oracle_classes(data, genus, d, method)
-            got = engine._block_classes(data, d, *args[3:])
+            got = {
+                key: {x + cols_term(key[0]): c for x, c in xs.items()}
+                for key, xs in classes.items()
+            }
             assert got == want
             assert list(got) == list(want)
+            # and they repeat with period the rank in the degree
+            again = engine._block_classes(data, d + data.rank, engine._TABLE_TERMS[method])
+            assert again == classes and list(again) == list(classes)
             negative += neg
         parts += len(partitions(data))
     assert negative > 100 and parts > 2000

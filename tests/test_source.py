@@ -163,13 +163,27 @@ HEAVY = ("dataclasses", "concurrent", "multiprocessing")
 def test_no_heavy_stdlib_imports():
     """Every parbetti process pays at start-up for what the package imports:
     no module imports dataclasses (which loads inspect, ast and dis) or a
-    process pool; sweeps fork their workers with os.fork."""
+    process pool; sweeps run in the calling process."""
     found = [
         f"{path.name}: {name}"
         for path in sorted(SRC.glob("*.py"))
         for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
         if name.split(".")[0] in HEAVY
     ]
+    assert found == []
+
+
+def test_src_reads_no_environment():
+    """No setting comes from the environment: no module reads
+    ``os.environ`` or ``os.getenv``, or imports either from ``os``."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.name}:{node.lineno}" for a in node.names if a.name in names]
     assert found == []
 
 
