@@ -3,7 +3,7 @@ filtration types of stable counts.  Everything is an exact power series
 in t, compared through a chosen order."""
 
 from parbetti import make_data, moduli_dim
-from parbetti.engine import siegel_check
+from parbetti.recursion import siegel_check
 
 data = make_data([((1, 1, 1), ("0", "1/12", "1/4"))])
 

@@ -1,5 +1,12 @@
 """Command line interface: instance documents, emitters, sweeps.
 
+The argument grammar is the table ``COMMANDS``: each subcommand takes one
+input document and its options, a choice, an integer, a string or a flag,
+written ``--opt value`` or ``--opt=value``.  A value that starts with ``-``
+must use the ``=`` form, unless it is a negative number.  ``-h`` or
+``--help`` prints ``USAGE``.  A process imports only what its command runs:
+the recursion and rank-2 routes load when they are used.
+
 Exit codes: 0 success, 1 invalid input or usage, 2 refusal on strictly
 semistable input (or an integral gap sum on the rank-2 route), 3 a failed
 certificate or routes that disagree under compare.  Usage errors print
@@ -15,23 +22,22 @@ exits as its cells do: 2 if all were refusals, 1 if all were invalid input
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .engine import (
     METHODS,
     MethodInapplicable,
     StrictSemistable,
-    TruncationTooSmall,
-    applicable_methods,
     compare_methods,
     compute,
     sweep,
 )
-from .laurent import TruncationLimit
+from .laurent import TruncationLimit, TruncationTooSmall
 from .parabolic import (
     Instance,
     make_data,
@@ -39,8 +45,7 @@ from .parabolic import (
     slope_coincidence_witness,
     ss_equals_stable,
 )
-from .rank2 import IntegralPsi, exists_stable_rank2, profile_from_instance
-from .result import NonPolynomialResult
+from .result import IntegralPsi, NonPolynomialResult
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -402,6 +407,8 @@ def cmd_check(args, out=None):
     all_d = all(ss_equals_stable(data, rho) for rho in range(data.rank))
     out.write(f"stable_for_all_degrees: {'true' if all_d else 'false'}\n")
     if data.rank == 2:
+        from .rank2 import exists_stable_rank2, profile_from_instance
+
         try:
             profile = profile_from_instance(instance)
             verdict = exists_stable_rank2(profile)
@@ -413,52 +420,112 @@ def cmd_check(args, out=None):
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as invalid input: one ``error:`` line, exit 1."""
+USAGE = """\
+parbetti compute INPUT [--method M] [--format json|csv|latex|text]
+                        [--truncation N] [--force] [--timing]
+parbetti compare INPUT
+parbetti sweep   INPUT [--genus-range A..B] [--degree-range A..B]
+                        [--format latex|csv]
+parbetti check   INPUT
+"""
 
-    def error(self, message):
-        raise DocumentError(message)
+
+def cmd_help(args, out=None):
+    (out or sys.stdout).write(USAGE)
+    return EXIT_OK
 
 
-def build_parser():
-    parser = _Parser(
-        prog="parbetti",
-        description="Betti numbers of moduli of parabolic stable bundles",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# each subcommand's function and options; an option maps to (kind, default),
+# with kind a tuple of choices, int or str (the option takes a value) or
+# bool (a flag)
+COMMANDS = {
+    "compute": (cmd_compute, {
+        "--method": (METHODS, None),
+        "--format": (("json", "csv", "latex", "text"), "json"),
+        "--truncation": (int, None),
+        "--force": (bool, False),
+        "--timing": (bool, False),
+    }),
+    "compare": (cmd_compare, {}),
+    "sweep": (cmd_sweep, {
+        "--genus-range": (str, None),
+        "--degree-range": (str, None),
+        "--format": (("latex", "csv"), "latex"),
+    }),
+    "check": (cmd_check, {}),
+}
 
-    p = sub.add_parser("compute", help="compute the Betti polynomial of one instance")
-    p.add_argument("input", help="instance document (JSON)")
-    p.add_argument("--method", choices=METHODS, default=None)
-    p.add_argument("--format", choices=("json", "csv", "latex", "text"), default="json")
-    p.add_argument("--truncation", type=int, default=None)
-    p.add_argument("--force", action="store_true")
-    p.add_argument("--timing", action="store_true")
-    p.set_defaults(fn=cmd_compute)
+# argparse's rule: a token that reads as a negative number is a value
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
-    p = sub.add_parser("compare", help="run every applicable method and compare")
-    p.add_argument("input")
-    p.set_defaults(fn=cmd_compare)
 
-    p = sub.add_parser("sweep", help="tabulate Betti numbers over genus/degree ranges")
-    p.add_argument("input")
-    p.add_argument("--genus-range", default=None)
-    p.add_argument("--degree-range", default=None,
-                   help="A..B inclusive, or one value; write --degree-range=-3..-1 "
-                        "when it starts negative")
-    p.add_argument("--format", choices=("latex", "csv"), default="latex")
-    p.set_defaults(fn=cmd_sweep)
+def _is_option(token):
+    return token[:1] == "-" and token != "-" and not _NEGATIVE_NUMBER.fullmatch(token)
 
-    p = sub.add_parser("check", help="stability and existence report")
-    p.add_argument("input")
-    p.set_defaults(fn=cmd_check)
-    return parser
+
+def _invalid_choice(name, text, choices):
+    listed = ", ".join(map(repr, choices))
+    return DocumentError(f"argument {name}: invalid choice: {text!r} (choose from {listed})")
+
+
+def _option_value(name, kind, text):
+    if kind is str:
+        return text
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise DocumentError(f"argument {name}: invalid int value: {text!r}") from None
+    if text not in kind:
+        raise _invalid_choice(name, text, kind)
+    return text
+
+
+def parse_args(argv):
+    """The command function that an argument list names and its arguments:
+    ``input`` and one attribute per option of ``COMMANDS``.  ``-h`` or
+    ``--help`` anywhere gives ``cmd_help``.  A usage error raises
+    ``DocumentError`` in argparse's words."""
+    if "-h" in argv or "--help" in argv:
+        return cmd_help, None
+    if not argv:
+        raise DocumentError("the following arguments are required: command")
+    if argv[0] not in COMMANDS:
+        raise _invalid_choice("command", argv[0], COMMANDS)
+    command, options = COMMANDS[argv[0]]
+    values = {name: default for name, (_, default) in options.items()}
+    inputs = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not _is_option(token):
+            inputs.append(token)
+            continue
+        name, eq, text = token.partition("=")
+        if name not in options:
+            raise DocumentError(f"unrecognized arguments: {token}")
+        kind = options[name][0]
+        if kind is bool:
+            if eq:
+                raise DocumentError(f"argument {name}: ignored explicit argument {text!r}")
+            values[name] = True
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None or _is_option(text):
+                raise DocumentError(f"argument {name}: expected one argument")
+        values[name] = _option_value(name, kind, text)
+    if not inputs:
+        raise DocumentError("the following arguments are required: input")
+    if len(inputs) > 1:
+        raise DocumentError(f"unrecognized arguments: {' '.join(inputs[1:])}")
+    fields = {name[2:].replace("-", "_"): value for name, value in values.items()}
+    return command, SimpleNamespace(input=inputs[0], **fields)
 
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
-        return args.fn(args)
+        command, args = parse_args(sys.argv[1:] if argv is None else argv)
+        return command(args)
     except (DocumentError, MethodInapplicable, TruncationLimit) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID

@@ -1,9 +1,8 @@
 """Betti number engines for the parabolic moduli spaces.
 
-Three independent routes to the same polynomial (``compute`` also runs the
-rank-2 subset-sum route of ``rank2``).  Each block of a decomposition
-enters through its substituted count, the per-block factor of
-``counting``:
+Four routes to the same polynomial; ``compute`` runs one of them.  Each
+block of a decomposition enters through its substituted count, the
+per-block factor of ``counting``:
 
 * ``poincare_closed``: direct closed formula, a finite alternating sum over
   block decompositions of the flag data, assembled in exact factored
@@ -15,49 +14,31 @@ enters through its substituted count, the per-block factor of
 * ``poincare_qclosed``: the point-count route.  The same block sum with
   the exponents of the stable-count generating function, bridged back to
   Betti numbers; ``compare_methods`` checks it against the first route.
-* ``recursion_poincare``: solves the filtration recursion numerically in
-  truncated Laurent series with certified truncation bookkeeping, never
-  citing the closed solution.  It runs on integer blocks: per point, the
-  multiplicities and the weight numerators over the data's one
-  denominator.  Each stratum's Harder-Narasimhan degree tuples are found by
-  an integer search, and the tuples of all strata are grouped by the
-  multiset of their (block, residue mod the block's rank) pairs, each
-  multiset with an exact polynomial of its shifts.  The sorted multisets
-  form a trie, and Horner's rule over it makes one series product per
-  inner node.  All rank-1 blocks share one series, whatever their weights.
+* ``recursion.recursion_poincare``: the Harder-Narasimhan recursion in
+  truncated series, which never cites the closed solution.
+* ``rank2.poincare_rank2``: the rank-2 subset sum over the weight gaps.
+
+The last two routes live in their own modules, which ``compute`` (and, for
+``rank2``, ``applicable_methods``) imports only when it runs them, so a
+process that runs a closed route never loads them.
 
 ``sweep`` solves a grid of genera and degrees, and on the closed routes
 finds each degree's stability witness and block classes once for every genus.
 
-All three end with the same shift-free bridge prefactor
-(1 - t)^(2g) (1 - t^2)^(1 - 2g), after a shift of their own; the recursion
-multiplies by the bridge's series expansion, so no series is inverted.
-
-``siegel_check`` verifies the underlying mass identity order by order: it
-runs the recursion's own step on the closed route's stable counts.
+The closed routes and the recursion end with the same shift-free bridge
+prefactor (1 - t)^(2g) (1 - t^2)^(1 - 2g), after a shift of their own.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 
-from . import rank2 as _rank2
 from .counting import _odd_plus_product, block_factor, flag_denominator, rank_denominator
-from .laurent import (
-    MAX_TRUNCATION,
-    LaurentPoly,
-    LaurentSeries,
-    NonDivisible,
-    TruncationLimit,
-    TruncationTooSmall,
-)
+from .laurent import MAX_TRUNCATION, LaurentPoly, NonDivisible, TruncationLimit
 from .parabolic import (
     Instance,
-    _block_data,
     _integer_weights,
     _strata,
-    canonical_form,
     moduli_dim,
     slope_coincidence_witness,
 )
@@ -273,312 +254,6 @@ def poincare_qclosed(instance, force=False):
     return _closed_route(instance, "qclosed", force, {}, {})
 
 
-def _pairing_floors(cols, den, nums):
-    """Suffix sums of the pairing floors ``floor(a_k n_l - a_l n_k) + 1``
-    (l < k) of weights a_k = nums[k] / den, in integers: entry j sums
-    them over j <= l, so entry 0 bounds the whole pairing from below."""
-    r = len(cols)
-    suffix = [0] * (r + 1)
-    for l in range(r - 1, -1, -1):
-        suffix[l] = suffix[l + 1] + sum(
-            (nums[k] * cols[l] - nums[l] * cols[k]) // den + 1 for k in range(l + 1, r)
-        )
-    return suffix
-
-
-def hn_degree_tuples(cols, den, nums, d, pairing_bound, floors):
-    """Integer degree tuples with total ``d``, strictly decreasing block
-    slopes, and cross pairing at most ``pairing_bound``.
-
-    Block k has rank ``cols[k]`` and weight a_k = ``nums[k] / den``, with
-    integer numerators over one positive denominator.  The pairing of a
-    tuple is ``sum over l < k of d_l n_k - d_k n_l`` and the slope of block
-    k is ``(d_k + a_k) / cols[k]``.  Slope decrease makes every pairwise
-    pairing at least ``floor(a_k n_l - a_l n_k) + 1``; ``floors`` holds
-    their sums over the tails (``_pairing_floors``), and they close both
-    ends of each search range:
-
-    * replacing all later choices by those pairwise floors gives a pairing
-      lower bound that grows strictly with the degree picked now, so the
-      bound caps it from above;
-    * the remaining blocks must fit strictly under the current slope, which
-      caps it from below.
-
-    Every step is integer arithmetic, and no artificial cutoff is involved,
-    so the returned list is complete.  Returns (tuple, pairing) pairs.
-    """
-    if any(c < 1 for c in cols):
-        raise ValueError(f"block ranks must be >= 1, got {tuple(cols)}")
-    r = len(cols)
-    n = sum(cols)
-    if r == 1:
-        return [((d,), 0)] if pairing_bound >= 0 else []
-    asuf = [0] * (r + 1)
-    for j in range(r - 1, -1, -1):
-        asuf[j] = asuf[j + 1] + nums[j]
-    out = []
-
-    before = [0, *itertools.accumulate(cols)]  # total rank of the blocks before j
-    last = cols[-1]
-
-    def rec(j, deg_sum, pair_in, prefix):
-        nprev = before[j]
-        nj = cols[j]
-        x = nj * ((d - deg_sum) * den + asuf[j + 1]) - (n - nprev - nj) * nums[j]
-        lo = x // (den * (n - nprev)) + 1
-        c0 = (
-            pair_in
-            + nj * deg_sum
-            + n * deg_sum
-            - d * (nprev + nj)
-            + floors[j + 1]
-        )
-        hi = (pairing_bound - c0) // (n - nprev)
-        if j > 0:
-            # block j's slope stays under block j-1's: v < cap / (den n_{j-1})
-            cap = (prefix[-1] * den + nums[j - 1]) * nj - nums[j] * cols[j - 1]
-            hi = min(hi, -(-cap // (den * cols[j - 1])) - 1)
-        if j < r - 2:
-            for v in range(lo, hi + 1):
-                rec(j + 1, deg_sum + v, pair_in + nj * deg_sum - v * nprev, prefix + (v,))
-            return
-        # the total fixes the last degree w; its slope must stay under block j's
-        for v in range(lo, hi + 1):
-            w = d - deg_sum - v
-            if (w * den + nums[-1]) * nj >= (v * den + nums[j]) * last:
-                continue
-            pairing = pair_in + nj * deg_sum - v * nprev + last * (deg_sum + v) - w * (n - last)
-            if pairing <= pairing_bound:
-                out.append((prefix + (v, w), pairing))
-
-    rec(0, 0, 0, ())
-    return out
-
-
-class _Recursor:
-    """Solves the filtration recursion in truncated series, memoized.
-
-    A block is a pair ``(mults, nums)`` of int tuples, one per point: the
-    multiplicities of its nonzero flag rows and their weight numerators
-    over ``den``, the top-level data's denominator (every block's weights
-    are some of the data's).  ``memo`` maps (block, residue) to its series,
-    ``shapes`` holds the tables of ``_strata`` and ``families`` the
-    full-family counts per (mults, truncation); all three last one compute.
-
-    Degree enters only through its residue mod the rank: twisting by a line
-    bundle of degree one shifts every degree tuple compatibly and leaves
-    both the pairing and the slope chain intact.  A rank-1 block's count
-    does not depend on its weights (its flag dimension is 0 and its factors
-    see only multiplicities), so every rank-1 block with s points is the
-    one with numerators 0, and they share one memo entry.
-    """
-
-    def __init__(self, genus, den):
-        self.genus = genus
-        self.den = den
-        self.memo = {}
-        self.shapes = {}
-        self.families = {}
-
-    def q_series(self, block, d, trunc):
-        """Stable count of a block (no zero rows) through trunc."""
-        key = (block, d % sum(block[0][0]))
-        hit = self.memo.get(key)
-        if hit is not None and hit.trunc >= trunc:
-            return hit
-        series = self._stable_count(block, key[1], trunc).exact_through(trunc)
-        self.memo[key] = series
-        return series
-
-    def _stable_count(self, block, d, trunc):
-        """Stable count of a block through trunc, before memoising."""
-        return self._compute(block, d, trunc)
-
-    def _compute(self, block, d, trunc):
-        """The full-family count of a block minus every stratum of two or
-        more blocks, through trunc.
-
-        A degree tuple of a stratum (sigma inversions) adds the product of
-        its block series times t^(2(pairing - sigma)), and the product
-        depends only on the multiset of (block, d_k mod n_k) pairs.  So the
-        walk over the strata fetches each block's series as deep as the
-        stratum's certificate needs, bounds the pairing so that the skipped
-        tuples land past trunc, and adds each tuple's shift into its
-        multiset's node of a trie of sorted (block number, residue) pairs;
-        ``_horner`` then makes the products.  Blocks are numbered by their
-        table columns.
-        """
-        g = self.genus
-        mults, nums = block
-        total = self.families.get((mults, trunc))
-        if total is None:
-            total = self.families[mults, trunc] = _block_q(mults, g).expand(trunc)
-        if sum(mults[0]) == 1:
-            return total
-        line = (((1,),) * len(mults), ((0,),) * len(mults))
-        den = self.den
-        ids = {}  # a block's table columns (rank 1: ()) -> its number
-        blocks = []  # number -> (block, rank, -count shift)
-        series = {}  # (number, residue) -> deepest series fetched
-        fetched = {}  # number -> (least depth, least order bound) of its series
-        trie = {}  # (number, residue) -> (shifts of the multiset ending here, subtrie)
-        for cols, strata in _strata(mults, nums, 2, self.shapes):
-            for tables in itertools.product(*strata):
-                sums = [sum(col) for col in zip(*(t[3] for t in tables))]
-                sigma = sum(t[1] for t in tables)
-                ks = []
-                for k, c in enumerate(cols):
-                    key = tuple(row[k] for tbl, *_ in tables for row in tbl) if c > 1 else ()
-                    i = ids.get(key)
-                    if i is None:
-                        # block k is column k of every table, zero rows dropped:
-                        # zip(*pairs) is its (mults, nums) at one point
-                        b = line if c == 1 else tuple(zip(*(
-                            tuple(zip(*((row[k], w) for row, w in zip(tbl, ws) if row[k])))
-                            for (tbl, *_), ws in zip(tables, nums)
-                        )))
-                        i = ids[key] = len(blocks)
-                        blocks.append((b, c, -_count_shift(b[0], g)))
-                    ks.append(i)
-                floors = _pairing_floors(cols, den, sums)
-                # a block's probe: trunc less the smallest shift and the
-                # other blocks' leading orders
-                spare = trunc - 2 * (floors[0] - sigma) - sum(blocks[i][2] for i in ks)
-                certs = []
-                for i in ks:
-                    b, c, order = blocks[i]
-                    depth, cert = fetched.get(i, (spare + order - 1, None))
-                    if depth < spare + order:
-                        got = [self.q_series(b, rho, spare + order) for rho in range(c)]
-                        series.update(((i, rho), s) for rho, s in enumerate(got))
-                        depth = min(s.trunc for s in got)
-                        cert = min(s.order_bound() for s in got)
-                        fetched[i] = depth, cert
-                    certs.append(cert)
-                bound = (trunc - sum(certs)) // 2 + sigma
-                # anything past the bound sits beyond trunc after the shift
-                if 2 * (bound + 1 - sigma) + sum(certs) <= trunc:
-                    raise TruncationTooSmall(
-                        f"degree-tuple bound {bound} leaves terms below t^{trunc}"
-                    )
-                leaves = {}  # residues -> shifts of their multiset in the trie
-                for dvec, pairing in hn_degree_tuples(cols, den, sums, d, bound, floors):
-                    rhos = tuple(map(operator.mod, dvec, cols))
-                    shifts = leaves.get(rhos)
-                    if shifts is None:
-                        node = trie
-                        for pair in sorted(zip(ks, rhos)):
-                            branch = node.get(pair)
-                            if branch is None:
-                                branch = node[pair] = ({}, {})
-                            node = branch[1]
-                        shifts = leaves[rhos] = branch[0]
-                    shift = 2 * (pairing - sigma)
-                    shifts[shift] = shifts.get(shift, 0) + 1
-        total = total - self._horner(trie, trunc, blocks, series)
-        return total.exact_through(trunc).truncate(trunc)
-
-    def _horner(self, trie, need, blocks, series):
-        """The sum over the trie's multisets of the product of ``series[p]``
-        over their pairs p times their shifts, exact through need.
-
-        Horner's rule: V = sum over the branches (p, shifts, subtrie) of
-        series[p] (shifts + V(subtrie)), one product per branch (``mul_poly``
-        at a leaf).  A branch solves its subtrie through need less its
-        factor's order first; the subtrie's lowest exponent then sets the
-        factor's depth, or leaves no room.  A short product means the factor
-        started later than its family count predicts: it is deepened by the
-        deficit and the product retried, after the subtrie has deepened the
-        factors under it.
-        """
-        total = LaurentSeries.zero(need)
-        for pair, (shifts, sub) in trie.items():
-            s = series[pair]
-            if sub:
-                inner = need - s.order_bound()
-                x = LaurentSeries(shifts, inner) + self._horner(sub, inner, blocks, series)
-                low = x.order_bound()
-            else:
-                x = LaurentPoly(shifts)
-                low = min(shifts)
-            while need - low - s.order_bound() >= 0:
-                f = s.truncate(need - low)
-                term = f * x if sub else f.mul_poly(x)
-                if term.trunc >= need:
-                    total = total + term
-                    break
-                s = series[pair] = self.q_series(
-                    blocks[pair[0]][0], pair[1], s.trunc + need - term.trunc
-                )
-        return total
-
-
-def _integer_block(data):
-    """Canonical data as ``(den, block)``: the lcm den of its weights'
-    denominators and the recursion's integer block over it."""
-    den, weights = _integer_weights(data)
-    return den, (tuple(p.mults for p in data.points), tuple(map(tuple, weights)))
-
-
-def recursion_poincare(instance, truncation=None, force=False):
-    """Betti polynomial by solving the recursion in truncated series.
-
-    The default truncation is two past twice the dimension; the band above
-    twice the dimension must come out identically zero and acts as the
-    self-check of this route.
-    """
-    data, d, g = instance.data, instance.degree, instance.genus
-    ss_ok = _check_stability(slope_coincidence_witness(data, d), force)
-    dim = moduli_dim(data, g)
-    # at negative dimension the floor of 2 keeps t^0..t^2 in the zero band
-    n_master = max(2 * dim + 2, 2) if truncation is None else truncation
-    if n_master <= 2 * dim:
-        raise TruncationTooSmall(
-            f"truncation {n_master} cannot reach degree {2 * dim}"
-        )
-    den, block = _integer_block(canonical_form(data))
-    c = _count_shift(block[0], g)
-    q = _Recursor(g, den).q_series(block, d, n_master - c)
-    p = q.shift(c) * _bridge(g).expand(n_master)
-    bad = sorted(e for e in p.coeffs if e < 0)
-    if bad:
-        raise NonPolynomialResult(
-            f"recursion series carries negative exponent t^{bad[0]}"
-        )
-    p = p.exact_through(n_master)
-    band = sorted(e for e in p.coeffs if 2 * dim < e <= n_master)
-    if band:
-        raise TruncationTooSmall(
-            f"nonzero coefficient at t^{band[0]} beyond twice the dimension"
-        )
-    poly = LaurentPoly({e: c2 for e, c2 in p.coeffs.items() if e <= 2 * dim})
-    return result_from_poly(poly, dim, "recursion", ss_ok)
-
-
-class _ClosedCounts(_Recursor):
-    """The recursion step fed with the closed route's stable counts."""
-
-    def _stable_count(self, block, d, trunc):
-        return q_ratfunc(_block_data(block, self.den), d, self.genus).expand(trunc)
-
-
-def siegel_check(data, genus, d, order):
-    """Verify the mass identity through the given series order.
-
-    The full-family count equals the sum over block decompositions and
-    slope-decreasing degree tuples of the stable counts of the blocks; the
-    length-1 term is the stable count itself.  So one step of the recursion,
-    fed with the closed count route's stable counts of the blocks, must
-    return the closed stable count of the datum.  Returns (True, None) on
-    agreement, otherwise (False, first differing exponent).
-    """
-    data = canonical_form(data)
-    den, block = _integer_block(data)
-    step = _ClosedCounts(genus, den)._compute(block, d, order)
-    diff = step.first_difference(q_ratfunc(data, d, genus).expand(order), through=order)
-    return (diff is None, diff)
-
-
 def _check_dimension(instance):
     """The polynomial reaches t^(2 dim), so 2 dim past ``MAX_TRUNCATION`` is
     refused (``TruncationLimit``) before any route starts."""
@@ -598,15 +273,19 @@ def compute(instance, method="closed", truncation=None, force=False):
     if method == "qclosed":
         return poincare_qclosed(instance, force)
     if method == "recursion":
+        from .recursion import recursion_poincare
+
         return recursion_poincare(instance, truncation, force)
     if method == "rank2":
         if instance.data.rank != 2:
             raise MethodInapplicable("rank2 route needs rank-2 data")
+        from . import rank2
+
         try:
-            profile = _rank2.profile_from_instance(instance)
+            profile = rank2.profile_from_instance(instance)
         except ValueError as exc:
             raise MethodInapplicable(str(exc)) from exc
-        return _rank2.poincare_rank2(profile)
+        return rank2.poincare_rank2(profile)
     raise MethodInapplicable(f"unknown method {method!r}")
 
 
@@ -638,9 +317,11 @@ def applicable_methods(instance):
     """Routes that accept this instance without raising on its shape."""
     methods = ["closed", "qclosed", "recursion"]
     if instance.data.rank == 2:
+        from . import rank2
+
         try:
-            profile = _rank2.profile_from_instance(instance)
-            _rank2.exists_stable_rank2(profile)
+            profile = rank2.profile_from_instance(instance)
+            rank2.exists_stable_rank2(profile)
         except ValueError:
             pass
         else:

@@ -13,16 +13,7 @@ from itertools import combinations
 from .laurent import LaurentPoly, Record, one_plus
 from .parabolic import canonical_form
 from .ratfunc import FactoredRatFunc
-from .result import result_from_poly
-
-
-class IntegralPsi(ValueError):
-    """A signed weight-gap sum landed on an integer.
-
-    The subset-sum route needs every signed sum of the gaps to be
-    non-integral; that is exactly the condition for semistable = stable
-    in rank 2, for every degree at once.
-    """
+from .result import IntegralPsi, result_from_poly
 
 
 class Rank2Profile(Record):

@@ -1,4 +1,5 @@
-"""Shared result type for the Betti computations and its sanity gate."""
+"""Shared result type for the Betti computations, its sanity gate, and
+the refusals that ``cli.main`` maps to exit codes without loading a route."""
 
 from __future__ import annotations
 
@@ -10,6 +11,15 @@ class NonPolynomialResult(ArithmeticError):
 
     Signals either a transcription error in the formulas or an input whose
     preconditions (stability in particular) were forced past.
+    """
+
+
+class IntegralPsi(ValueError):
+    """A signed weight-gap sum landed on an integer.
+
+    The subset-sum route needs every signed sum of the gaps to be
+    non-integral; that is exactly the condition for semistable = stable
+    in rank 2, for every degree at once.
     """
 
 

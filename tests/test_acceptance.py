@@ -41,14 +41,14 @@ from parbetti import (
     make_data,
     moduli_dim,
 )
-from parbetti.engine import siegel_check
 from parbetti.parabolic import (
     _compositions,
     _integer_weights,
     _strata,
 )
 from parbetti.rank2 import family_formula
-from parbetti.cli import build_parser
+from parbetti.recursion import siegel_check
+from parbetti.cli import parse_args
 from oracles import (
     CountExpr,
     brute_flag_count,
@@ -73,15 +73,16 @@ from strata import (
     split_inversions,
     stratum_exponent,
     tail,
-    term_exponent,    subdata,
+    term_exponent,
+    subdata,
     weight_sum,
 )
 
 
 def _run_cli(argv):
-    args = build_parser().parse_args(argv)
+    command, args = parse_args(argv)
     buf = io.StringIO()
-    code = args.fn(args, out=buf)
+    code = command(args, out=buf)
     return code, buf.getvalue()
 
 

@@ -1,9 +1,11 @@
 """End-to-end checks of the command line interface."""
 
 import contextlib
+import io
 import json
 import os
 import signal
+from pathlib import Path
 
 import pytest
 
@@ -506,6 +508,55 @@ def test_usage_error_exits_1_with_one_line(capsys, argv, fragment):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ") and fragment in captured.err
+
+
+def _readme_usage():
+    """The block of the README's "Four subcommands" section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Four subcommands:\n\n```\n", 1)[1]
+    return section.split("```", 1)[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["compute", "--help"], ["sweep", "inst.json", "-h"], ["check", "-h"],
+])
+def test_help_prints_the_readme_usage(capsys, argv):
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == _readme_usage() == cli.USAGE
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["--method", "rank2"], "rank2"),
+    (["--method=rank2"], "rank2"),
+    (["--truncation=12"], 12),
+    (["--truncation", "-5"], -5),
+])
+def test_option_value_forms(argv, value):
+    """``--opt value`` and ``--opt=value`` parse alike, and a negative
+    number is a value, as under argparse."""
+    command, args = cli.parse_args(["compute", "inst.json"] + argv)
+    name = argv[0].partition("=")[0][2:]
+    assert command is cli.cmd_compute and getattr(args, name) == value
+
+
+@pytest.mark.parametrize("command", ["compute", "compare", "sweep", "check"])
+def test_commands_parse_through_the_module_parse_document(tmp_path, monkeypatch, command):
+    """Every command parses its document through the module-level
+    ``parse_document`` looked up at call time, so a wrapper put there sees
+    the call (the benchmark times start-up up to it)."""
+    calls = []
+    parse = cli.parse_document
+
+    def recorded(obj):
+        calls.append(obj)
+        return parse(obj)
+
+    monkeypatch.setattr(cli, "parse_document", recorded)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, _doc(tmp_path, CASE_A)]) == EXIT_OK
+    assert calls == [CASE_A]
 
 
 def test_sweep_negative_degree_range_with_equals(tmp_path, capsys):

@@ -9,24 +9,20 @@ from itertools import product
 
 import pytest
 
-from parbetti import engine, parabolic
+from parbetti import engine, parabolic, recursion
 from parbetti.cli import EXIT_INTERNAL, main
 from parbetti.counting import block_factor
 from parbetti.engine import (
     MethodInapplicable,
     StrictSemistable,
-    TruncationTooSmall,
     applicable_methods,
     compare_methods,
     compute,
-    hn_degree_tuples,
     poincare_closed,
     poincare_qclosed,
     q_ratfunc,
-    recursion_poincare,
-    siegel_check,
 )
-from parbetti.laurent import LaurentPoly, LaurentSeries
+from parbetti.laurent import LaurentPoly, LaurentSeries, TruncationTooSmall
 from parbetti.parabolic import (
     Instance,
     _compositions,
@@ -36,6 +32,7 @@ from parbetti.parabolic import (
     make_data,
 )
 from parbetti.ratfunc import FactoredRatFunc
+from parbetti.recursion import hn_degree_tuples, recursion_poincare, siegel_check
 from parbetti.result import BettiResult, NonPolynomialResult, result_from_poly
 
 from strata import (
@@ -183,13 +180,13 @@ def test_routes_keep_integer_coefficients(monkeypatch):
         sums.append(block_sum(*args))
         return sums[-1]
 
-    class Recorded(engine._Recursor):
+    class Recorded(recursion._Recursor):
         def __init__(self, *args):
             super().__init__(*args)
             recursors.append(self)
 
     monkeypatch.setattr(engine, "_block_sum", recorded_sum)
-    monkeypatch.setattr(engine, "_Recursor", Recorded)
+    monkeypatch.setattr(recursion, "_Recursor", Recorded)
     inst = Instance(1, 1, R3_TWO)
     polys = [compute(inst, m).poly for m in ("closed", "qclosed", "recursion")]
     series = [s for rec in recursors for s in rec.memo.values()]
@@ -214,23 +211,23 @@ def test_siegel_identity_small():
 
 
 def test_siegel_check_sees_a_wrong_stable_count(monkeypatch):
-    closed = engine.q_ratfunc
+    closed = recursion.q_ratfunc
 
     def rank1_plus_t6(data, d, genus):
         func = closed(data, d, genus)
         return func + FactoredRatFunc.monomial(6) if data.rank == 1 else func
 
-    monkeypatch.setattr(engine, "q_ratfunc", rank1_plus_t6)
+    monkeypatch.setattr(recursion, "q_ratfunc", rank1_plus_t6)
     assert siegel_check(R2, 2, 1, 20) == (False, 5)
 
 
 def test_siegel_check_sees_a_wrong_recursion_step(monkeypatch):
-    step = engine._Recursor._horner
+    step = recursion._Recursor._horner
 
     def shifted(self, *args):
         return step(self, *args).shift(2)
 
-    monkeypatch.setattr(engine._Recursor, "_horner", shifted)
+    monkeypatch.setattr(recursion._Recursor, "_horner", shifted)
     assert siegel_check(R2, 2, 1, 20)[0] is False
     assert siegel_check(R3, 1, 1, 16)[0] is False
 
@@ -304,7 +301,7 @@ def _over_one_denominator(alphas):
 def _tuples(cols, alphas, d, bound):
     """hn_degree_tuples on rational block weights."""
     den, nums = _over_one_denominator(alphas)
-    return hn_degree_tuples(cols, den, nums, d, bound, engine._pairing_floors(cols, den, nums))
+    return hn_degree_tuples(cols, den, nums, d, bound, recursion._pairing_floors(cols, den, nums))
 
 
 def _brute_tuples(cols, alphas, d, bound, window):
@@ -432,11 +429,11 @@ def test_recursion_step_matches_per_tuple_sum(genus):
     trunc = 16
     parts = partitions(LADDER_TWO, min_length=2)
     assert len(parts) > 10
-    den, block = engine._integer_block(LADDER_TWO)
+    den, block = recursion._integer_block(LADDER_TWO)
     nonzero = 0
     for d in range(3):
-        got = engine._Recursor(genus, den)._compute(block, d, trunc)
-        per_tuple = engine._Recursor(genus, den)
+        got = recursion._Recursor(genus, den)._compute(block, d, trunc)
+        per_tuple = recursion._Recursor(genus, den)
         want = engine._block_q(block[0], genus).expand(trunc)
         for part in parts:
             term = _per_tuple_term(per_tuple, part, d, trunc)
@@ -451,7 +448,7 @@ def _count_products(monkeypatch):
     """Counters of series products, shift multiplications and degree tuples."""
     counts = {"mul": 0, "mul_poly": 0, "tuples": 0}
     mul, mul_poly, enumerate_tuples = (
-        LaurentSeries.__mul__, LaurentSeries.mul_poly, engine.hn_degree_tuples
+        LaurentSeries.__mul__, LaurentSeries.mul_poly, recursion.hn_degree_tuples
     )
 
     def counted_mul(self, other):
@@ -469,7 +466,7 @@ def _count_products(monkeypatch):
 
     monkeypatch.setattr(LaurentSeries, "__mul__", counted_mul)
     monkeypatch.setattr(LaurentSeries, "mul_poly", counted_mul_poly)
-    monkeypatch.setattr(engine, "hn_degree_tuples", counted_tuples)
+    monkeypatch.setattr(recursion, "hn_degree_tuples", counted_tuples)
     return counts
 
 
@@ -493,8 +490,8 @@ def test_rank1_count_ignores_weights(genus):
     recursion and by the closed route, does not see the weights."""
     a = make_data([((1,), ("0",)), ((1,), ("1/3",))])
     b = make_data([((1,), ("5/7",)), ((1,), ("0",))])
-    line_a = engine._Recursor(genus, 3).q_series(_int_block(a, 3), 0, 14)
-    assert line_a == engine._Recursor(genus, 7).q_series(_int_block(b, 7), 1, 14)
+    line_a = recursion._Recursor(genus, 3).q_series(_int_block(a, 3), 0, 14)
+    assert line_a == recursion._Recursor(genus, 7).q_series(_int_block(b, 7), 1, 14)
     assert q_ratfunc(a, 0, genus).expand(14) == q_ratfunc(b, 1, genus).expand(14)
 
 
@@ -502,8 +499,8 @@ def test_recursor_keeps_one_rank1_entry():
     """A rank-3 run memoises one rank-1 series, although its rank-2 blocks
     start at other weights than the data."""
     for data in (R3, LADDER_TWO):
-        den, block = engine._integer_block(data)
-        rec = engine._Recursor(1, den)
+        den, block = recursion._integer_block(data)
+        rec = recursion._Recursor(1, den)
         rec.q_series(block, 1, 16)
         ranks = [sum(key[0][0][0]) for key in rec.memo]
         assert ranks.count(2) and ranks.count(1) == 1
@@ -521,7 +518,7 @@ def test_recursor_keys_are_ints(monkeypatch):
 
     recursors = []
 
-    class Recorded(engine._Recursor):
+    class Recorded(recursion._Recursor):
         def __init__(self, *args):
             super().__init__(*args)
             recursors.append(self)
@@ -533,7 +530,7 @@ def test_recursor_keys_are_ints(monkeypatch):
         hashes.append(self)
         return fraction_hash(self)
 
-    monkeypatch.setattr(engine, "_Recursor", Recorded)
+    monkeypatch.setattr(recursion, "_Recursor", Recorded)
     inst = Instance(3, 0, LADDER_TWO)
     monkeypatch.setattr(Fraction, "__hash__", counted)
     res = recursion_poincare(inst)
@@ -548,7 +545,7 @@ def test_tables_walked_once_per_shape(monkeypatch):
     """A recursion walks each point's tables once per (multiplicities,
     block ranks), however many blocks and points meet that shape."""
     walked, met = [], []
-    tables_for_point, strata = parabolic._tables_for_point, engine._strata
+    tables_for_point, strata = parabolic._tables_for_point, recursion._strata
 
     def counted(mults, cols):
         walked.append((mults, cols))
@@ -560,7 +557,7 @@ def test_tables_walked_once_per_shape(monkeypatch):
             yield cols, per_point
 
     monkeypatch.setattr(parabolic, "_tables_for_point", counted)
-    monkeypatch.setattr(engine, "_strata", shapes_met)
+    monkeypatch.setattr(recursion, "_strata", shapes_met)
     for _ in range(2):  # nothing is kept from one compute to the next
         walked.clear()
         met.clear()
@@ -573,21 +570,21 @@ def test_horner_deepens_every_factor(monkeypatch):
     """A product shorter than its branch needs deepens that branch's factor,
     in place, after the subtrie below it has deepened its own; the pass
     then equals the product of the deep series."""
-    den, r2 = engine._integer_block(R2)
+    den, r2 = recursion._integer_block(R2)
     line = (((1,),), ((0,),))
-    rec = engine._Recursor(1, den)
+    rec = recursion._Recursor(1, den)
     blocks = [(line, 1, None), (r2, 2, None)]
     deep = {(0, 0): rec.q_series(line, 0, 30), (1, 1): rec.q_series(r2, 1, 30)}
     series = {p: s.truncate(s.order_bound() + 1) for p, s in deep.items()}
     fetched = []
-    q_series = engine._Recursor.q_series
+    q_series = recursion._Recursor.q_series
 
     def counted(self, block, d, trunc):
         fetched.append((block, d))
         assert len(fetched) <= 8, "deepening does not converge"
         return q_series(self, block, d, trunc)
 
-    monkeypatch.setattr(engine._Recursor, "q_series", counted)
+    monkeypatch.setattr(recursion._Recursor, "q_series", counted)
     shifts = {0: 1, 4: 2}
     # the one multiset {(0, 0), (0, 0), (1, 1)} as a trie
     trie = {(0, 0): ({}, {(0, 0): ({}, {(1, 1): (shifts, {})})})}

@@ -1,11 +1,15 @@
 """Rules about the package source itself."""
 
 import ast
+import importlib
+import json
 import os
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "parbetti"
 
@@ -157,13 +161,14 @@ def test_no_module_level_caches():
     assert found == []
 
 
-HEAVY = ("dataclasses", "concurrent", "multiprocessing")
+HEAVY = ("dataclasses", "concurrent", "multiprocessing", "argparse")
 
 
 def test_no_heavy_stdlib_imports():
     """Every parbetti process pays at start-up for what the package imports:
-    no module imports dataclasses (which loads inspect, ast and dis) or a
-    process pool; sweeps run in the calling process."""
+    no module imports dataclasses (which loads inspect, ast and dis), a
+    process pool (sweeps run in the calling process) or argparse (the CLI
+    parses its arguments from a table)."""
     found = [
         f"{path.name}: {name}"
         for path in sorted(SRC.glob("*.py"))
@@ -187,22 +192,77 @@ def test_src_reads_no_environment():
     assert found == []
 
 
-def test_cli_import_leaves_heavy_modules_unloaded():
-    probe = (
-        "import sys, parbetti.cli; "
-        "print(sorted(m for m in ('dataclasses', 'inspect', 'concurrent.futures', "
-        "'multiprocessing') if m in sys.modules))"
-    )
+def _run_python(code, *args):
+    """Standard output of ``python -c code args...`` with the package on the
+    path."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", code, *args],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    probe = (
+        "import sys, parbetti.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'concurrent.futures', "
+        "'multiprocessing') if m in sys.modules))"
+    )
+    assert _run_python(probe) == "[]\n"
+
+
+_LOADED_AFTER = """
+import contextlib, json, os, sys
+import parbetti
+loaded = [sorted(m for m in sys.modules if m.startswith("parbetti."))]
+from parbetti.cli import main
+with contextlib.redirect_stdout(open(os.devnull, "w")):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded.append(sorted(m for m in ("argparse", "parbetti.recursion", "parbetti.rank2")
+                     if m in sys.modules))
+print(json.dumps([codes, loaded]))
+"""
+
+
+def test_process_loads_only_what_its_command_runs(tmp_path):
+    """``import parbetti`` loads no submodule; a process that runs a closed
+    route or a sweep never loads argparse, the recursion or the rank-2
+    route, and one that runs the recursion leaves the rank-2 route alone."""
+    doc = tmp_path / "inst.json"
+    doc.write_text(json.dumps({
+        "genus": 2,
+        "degree": 1,
+        "points": [{"weights": ["0", "1/3"], "multiplicities": [1, 1]}],
+    }))
+    cases = [
+        ([["compute", str(doc), "--method", "closed"], ["sweep", str(doc)]],
+         []),
+        ([["compute", str(doc), "--method", "recursion"]],
+         ["parbetti.recursion"]),
+    ]
+    for argvs, loaded in cases:
+        out = _run_python(_LOADED_AFTER, json.dumps(argvs))
+        assert json.loads(out) == [[0] * len(argvs), [[], loaded]]
+
+
+def test_public_names_resolve_through_the_lazy_map():
+    """Every name of ``__all__`` is the object of the module that the
+    package's map names, and an unknown name is an AttributeError."""
+    import parbetti
+
+    assert sorted(parbetti.__all__) == sorted(parbetti._EXPORTS)
+    for name in parbetti.__all__:
+        module = importlib.import_module(f"parbetti.{parbetti._EXPORTS[name]}")
+        assert getattr(parbetti, name) is getattr(module, name), name
+    with pytest.raises(AttributeError):
+        parbetti.no_such_name
+    with pytest.raises(ImportError):
+        exec("from parbetti import no_such_name", {})
 
 
 def _references(tree):
@@ -218,7 +278,8 @@ def test_no_test_only_names_in_src():
     """Every module-level function and class of the package is used by the
     package, the benchmark or the demos; what only the tests use belongs in
     the tests.  A name's own definition does not count, and neither does
-    the package's re-export, which is only imports and ``__all__``."""
+    the package's re-export: its name map, ``__all__`` and the PEP 562
+    ``__getattr__`` that Python calls on attribute access."""
     root = SRC.parents[1]
     total = Counter()
     for folder in (SRC, root / "bench", root / "demos"):
@@ -230,6 +291,7 @@ def test_no_test_only_names_in_src():
         for path in sorted(SRC.glob("*.py"))
         for node in ast.parse(path.read_text(encoding="utf-8")).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and (path.name, node.name) != ("__init__.py", "__getattr__")
         and total[node.name] <= _references(node)[node.name]
     ]
     assert unused == []
