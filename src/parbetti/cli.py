@@ -20,8 +20,6 @@ exits as its cells do: 2 if all were refusals, 1 if all were invalid input
 (an inapplicable method or that limit), 3 otherwise.
 """
 
-from __future__ import annotations
-
 import json
 import re
 import sys

@@ -6,9 +6,9 @@ mass of its rank times the count of degree-0 line bundles.  The paper turns
 counts into Poincare series by sending q to t^-2 and each Frobenius
 eigenvalue to -t^-1.  The routes use only the substituted result, shifted
 to start at t^0: a numerator prod_{i<=n} (1+t^{2i-1})^{2g}, which depends
-only on the block's rank n (``_odd_plus_product``), times genus-free
-factors (1 - t^k)^{e_k}.  The symbolic counts and the substitution itself
-are the tests' oracle for this factor.
+only on the block's rank n (``odd_plus``, binomial powers), times
+genus-free factors (1 - t^k)^{e_k}.  The symbolic counts and the
+substitution itself are the tests' oracle for this factor.
 
 The factor exponents split into a part of the rank and the number of
 points (``rank_denominator``) and one term per flag row
@@ -17,15 +17,19 @@ composition of block ranks and the second per table, and ``block_factor``
 adds both for one block.
 """
 
-from __future__ import annotations
+from .laurent import LaurentPoly, one_plus
+from .ratfunc import FactoredRatFunc
 
-from .ratfunc import FactoredRatFunc, _times_one_plus
 
-
-def _odd_plus_product(coeffs, ranks, genus):
-    """The polynomial with these coefficients times the numerators
-    prod_{i<=n} (1 + t^{2i-1})^{2g} of blocks of the given ranks n."""
-    return _times_one_plus(coeffs, [2 * i - 1 for n in ranks for i in range(1, n + 1)] * (2 * genus))
+def odd_plus(ranks, genus):
+    """The numerators prod_{i<=n} (1 + t^{2i-1})^{2g} of blocks of the given
+    ranks n, multiplied together but for one factor (1 + t)^{2g}: every
+    block has one, and the closed routes' bridge takes it (see ``engine``)."""
+    numer = LaurentPoly.one()
+    for i in range(1, max(ranks) + 1):
+        e = sum(n >= i for n in ranks) - (i == 1)
+        numer = numer * one_plus(2 * i - 1) ** (2 * genus * e)
+    return numer
 
 
 def rank_denominator(n, num_points):
@@ -58,4 +62,4 @@ def block_factor(mults, genus):
     factors = rank_denominator(n, len(mults))
     for ms in mults:
         flag_denominator(ms, factors)
-    return FactoredRatFunc(0, _odd_plus_product({0: 1}, (n,), genus), factors)
+    return FactoredRatFunc(0, one_plus(1) ** (2 * genus) * odd_plus((n,), genus), factors)

@@ -10,7 +10,7 @@ per-block factor of ``counting``:
   decompositions are never built: an integer walk over each point's tables
   sums them per (block ranks, denominator) class, Zagier's regrouping by
   block type, into one integer polynomial per class times the blocks'
-  numerators (``counting._odd_plus_product``).
+  numerators but one (1 + t)^(2g) (``counting.odd_plus``; see below).
 * ``poincare_qclosed``: the point-count route.  The same block sum with
   the exponents of the stable-count generating function, bridged back to
   Betti numbers; ``compare_methods`` checks it against the first route.
@@ -25,16 +25,17 @@ process that runs a closed route never loads them.
 ``sweep`` solves a grid of genera and degrees, and on the closed routes
 finds each degree's stability witness and block classes once for every genus.
 
-The closed routes and the recursion end with the same shift-free bridge
-prefactor (1 - t)^(2g) (1 - t^2)^(1 - 2g), after a shift of their own.
+The recursion ends with the shift-free bridge prefactor
+(1 - t)^(2g) (1 - t^2)^(1 - 2g), after a shift of its own.  Every class of
+the closed block sum carries (1 + t)^(2g), and (1 + t)^(2g) times the bridge
+is 1 - t^2, so the closed routes leave that factor out and end with 1 - t^2:
+the function they certify has the same factors at every genus.
 """
-
-from __future__ import annotations
 
 import itertools
 
-from .counting import _odd_plus_product, block_factor, flag_denominator, rank_denominator
-from .laurent import MAX_TRUNCATION, LaurentPoly, NonDivisible, TruncationLimit
+from .counting import block_factor, flag_denominator, odd_plus, rank_denominator
+from .laurent import MAX_TRUNCATION, LaurentPoly, NonDivisible, TruncationLimit, one_plus
 from .parabolic import (
     Instance,
     _integer_weights,
@@ -181,19 +182,19 @@ def _block_classes(data, d, table_term):
 
 
 def _block_sum(classes, genus, cols_term):
-    """The alternating block decomposition sum behind both closed routes:
-    each class of ``_block_classes`` is one integer polynomial, times
-    t^``cols_term(ranks)`` of its block ranks and its blocks' numerators
-    prod_{i<=c} (1 + t^{2i-1})^{2g}, added as one term."""
+    """The alternating block decomposition sum behind both closed routes, over
+    (1 + t)^(2g): each class of ``_block_classes`` is one integer polynomial,
+    times t^``cols_term(ranks)`` of its block ranks and ``odd_plus(ranks)``,
+    added as one term."""
     total = FactoredRatFunc.zero()
     for (ranks, factors), monomials in classes.items():
-        numer = _odd_plus_product(monomials, ranks, genus)
+        numer = LaurentPoly(monomials) * odd_plus(ranks, genus)
         total = total + FactoredRatFunc(cols_term(ranks), numer, dict(factors))
     return total
 
 
 def _count_sum(data, genus, classes):
-    """The count side's block sum over the classes of ``_block_classes``."""
+    """The count side's ``_block_sum`` over the classes of ``_block_classes``."""
     s = data.num_points
     # minus each block's shift n_b^2 (g - 1) + 2 flag_dim(b), where
     # 2 flag_dim(b) is s n_b^2 minus the squares of the block's column in
@@ -230,7 +231,8 @@ def _closed_route(instance, method, force, witnesses, classes):
     else:
         shift = _count_shift([p.mults for p in data.points], g)
         func = FactoredRatFunc.monomial(shift) * _count_sum(data, g, classes[key])
-    return _certify(func * _bridge(g), instance, method, ss_ok)
+    # 1 - t^2: the bridge prefactor times the (1 + t)^(2g) the sum left out
+    return _certify(func * FactoredRatFunc(0, LaurentPoly.one(), {2: 1}), instance, method, ss_ok)
 
 
 def poincare_closed(instance, force=False):
@@ -244,9 +246,10 @@ def q_ratfunc(data, d, genus):
     Same block decomposition sum as the closed formula, written on the
     count side: each block enters as its full-family count, which is the
     block factor shifted by t^(-n^2(g-1) - 2 flag_dim).  The r = 1 term is
-    the full-family count itself.
+    the full-family count itself; the sum's left-out (1 + t)^(2g) is put back.
     """
-    return _count_sum(data, genus, _block_classes(data, d, _TABLE_TERMS["qclosed"]))
+    func = _count_sum(data, genus, _block_classes(data, d, _TABLE_TERMS["qclosed"]))
+    return FactoredRatFunc(0, one_plus(1) ** (2 * genus)) * func
 
 
 def poincare_qclosed(instance, force=False):

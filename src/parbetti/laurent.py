@@ -17,8 +17,6 @@ Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", J. Symbolic Comput. 44 (2009), arXiv:0712.4046).
 """
 
-from __future__ import annotations
-
 import sys
 from fractions import Fraction
 from operator import attrgetter
@@ -274,10 +272,19 @@ class LaurentPoly(Record):
         return _poly(_product(self.coeffs, other.coeffs))
 
     def __pow__(self, n):
+        """Binomial expansion of a two-term base a t^p + b t^q, each term
+        C(n, j) a^(n-j) b^j from the one before; binary powering otherwise."""
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             raise ValueError("negative powers are unsupported")
+        if len(self.coeffs) == 2:
+            (p, a), (q, b) = self.coeffs.items()
+            d, c = {}, a**n
+            for j in range(n + 1):
+                d[p * (n - j) + q * j] = c
+                c = c * (n - j) * b // ((j + 1) * a)
+            return _poly(d)
         result = LaurentPoly.one()
         base = self
         while n:

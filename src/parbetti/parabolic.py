@@ -20,8 +20,6 @@ which reads each point's tables once per composition of the rank into
 integer pair counts and block weights; no stratum object is built.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from fractions import Fraction

@@ -4,8 +4,6 @@ Works directly from the weight gaps at the flagged points, with no partition
 machinery, so it cross-checks the general engines on rank-2 input.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from itertools import combinations

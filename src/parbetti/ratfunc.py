@@ -5,18 +5,16 @@ cyclotomic-style factors (1 - t^k), so the factor dict maps k >= 1 to an
 integer exponent e_k (negative exponents are denominator factors), and the
 numerator p has integer coefficients.  Keeping the factorization explicit
 makes exact series expansion and exact polynomial certification cheap.
-The three general routes share one such function, the engine's bridge
-prefactor: the closed routes multiply by it and certify, the recursion
-multiplies by its expansion, so no series is ever inverted.
+The recursion multiplies by the expansion of one such function, the
+engine's bridge prefactor, so no series is ever inverted; the closed routes
+certify their block sum times 1 - t^2, the bridge with the genus cancelled.
 
 Every factor is 1 - t^k, so expansion, certification and sums run linear
 passes over one dense list of int coefficients, t^i at index i: multiplying
-by 1 - t^k (or 1 + t^k) subtracts (adds) the list shifted by k; a stride-k
-prefix sum divides a series by 1 - t^k (``_prefix``), and exactly divides a
-polynomial once its last k entries, top-down division's remainder, vanish.
+by 1 - t^k subtracts the list shifted by k; a stride-k prefix sum divides a
+series by 1 - t^k (``_prefix``), and exactly divides a polynomial once its
+last k entries, top-down division's remainder, vanish.
 """
-
-from __future__ import annotations
 
 from itertools import accumulate
 
@@ -60,15 +58,6 @@ def _divide(r, k):
     if rem:
         raise NonDivisible(f"remainder of degree {max(rem)}")
     del r[cut:]
-
-
-def _times_one_plus(coeffs, ks):
-    """The Laurent polynomial with these coefficients times prod_{k in ks} (1 + t^k)."""
-    low = min(coeffs)
-    r = _dense(coeffs, max(coeffs) - low + sum(ks) + 1, -low)
-    for k in ks:
-        r[k:] = [a + b for a, b in zip(r[k:], r)]
-    return _poly(_sparse(r, low))
 
 
 def _lift(coeffs, size, offset, factors, divide=_divide):

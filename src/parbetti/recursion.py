@@ -10,16 +10,14 @@ search, and the tuples of all strata are grouped by the multiset of their
 polynomial of its shifts.  The sorted multisets form a trie, and Horner's
 rule over it makes one series product per inner node.  All rank-1 blocks
 share one series, whatever their weights.  The route ends with the bridge
-prefactor of the closed routes, multiplied in as its series expansion, so
-no series is inverted.
+prefactor (1 - t)^(2g) (1 - t^2)^(1 - 2g), multiplied in as its series
+expansion, so no series is inverted.
 
 ``siegel_check`` verifies the underlying mass identity order by order: it
 runs the recursion's own step on the closed route's stable counts.
 
 ``engine.compute`` imports this module only when it runs the route.
 """
-
-from __future__ import annotations
 
 import itertools
 import operator

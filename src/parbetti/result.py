@@ -1,8 +1,6 @@
 """Shared result type for the Betti computations, its sanity gate, and
 the refusals that ``cli.main`` maps to exit codes without loading a route."""
 
-from __future__ import annotations
-
 from .laurent import Record
 
 

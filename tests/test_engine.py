@@ -22,7 +22,7 @@ from parbetti.engine import (
     poincare_qclosed,
     q_ratfunc,
 )
-from parbetti.laurent import LaurentPoly, LaurentSeries, TruncationTooSmall
+from parbetti.laurent import LaurentPoly, LaurentSeries, TruncationTooSmall, one_plus
 from parbetti.parabolic import (
     Instance,
     _compositions,
@@ -674,7 +674,9 @@ def _per_partition_sum(data, genus, d, method):
 
 @pytest.mark.parametrize("genus", [0, 1, 3])
 def test_block_sum_matches_per_partition_sum(monkeypatch, genus):
-    """Grouping partitions by class changes the value of neither route's sum."""
+    """Grouping partitions by class changes the value of neither route's sum:
+    with the factor (1 + t)^(2g) that the block sum leaves out multiplied
+    back in, it is the sum over partitions."""
     calls = []
     block_sum = engine._block_sum
 
@@ -692,7 +694,8 @@ def test_block_sum_matches_per_partition_sum(monkeypatch, genus):
                 pass
             (args,) = calls
             assert args[1] == genus
-            assert block_sum(*args) == _per_partition_sum(data, genus, d, method)
+            left_out = FactoredRatFunc(0, one_plus(1) ** (2 * genus))
+            assert left_out * block_sum(*args) == _per_partition_sum(data, genus, d, method)
 
 
 class _Recorded(Exception):
@@ -827,3 +830,51 @@ def test_no_module_state_grows_across_computes():
     for method in ("closed", "qclosed", "recursion"):
         compute(Instance(2, 1, data), method)
     assert sizes() == before
+
+
+@pytest.mark.parametrize("genus", [150, 400])
+def test_high_genus_routes_agree(genus):
+    """Rank 2 at high genus: both closed routes equal the subset sum."""
+    inst = Instance(genus, 1, R2)
+    closed, qclosed, rank2 = (compute(inst, m) for m in ("closed", "qclosed", "rank2"))
+    assert closed.poly == qclosed.poly == rank2.poly
+    assert closed.poly.max_exp() == 2 * closed.dim
+
+
+def _outcome(run):
+    """What a call returns, or the type and text of what it raises."""
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("method", ["closed", "qclosed"])
+def test_rank2_sweep_matches_per_cell_compute(method):
+    """A sweep over genus 0..40 gives, cell by cell, what compute gives."""
+    genera, degrees = range(41), range(2)
+    cells = engine.sweep(R2, genera, degrees, method)
+    swept = [c if isinstance(c, BettiResult) else (type(c), str(c)) for c in cells]
+    assert swept == [
+        _outcome(lambda: compute(Instance(g, d, R2), method)) for g in genera for d in degrees
+    ]
+    assert sum(isinstance(c, BettiResult) for c in cells) >= 41
+
+
+def test_closed_certificate_is_genus_free(monkeypatch):
+    """The function both closed routes certify has the same factors at
+    genus 1 and 30: the genus enters only the numerator."""
+    seen = []
+    certify = engine._certify
+
+    def recorded(func, *args):
+        seen.append(func.factors)
+        return certify(func, *args)
+
+    monkeypatch.setattr(engine, "_certify", recorded)
+    for data in (R2, R3_TWO, R4):
+        for method in ("closed", "qclosed"):
+            seen.clear()
+            for genus in (1, 30):
+                compute(Instance(genus, 1, data), method)
+            assert seen[0] == seen[1] and seen[0], (data, method)

@@ -44,6 +44,24 @@ def test_pow():
     assert (one_minus(2) ** 0) == P.one()
 
 
+def test_two_term_pow_is_repeated_product():
+    """The binomial expansion of a two-term base agrees with multiplying it
+    out, for negative exponents and coefficients other than 1 too."""
+    import random
+
+    rng = random.Random(13)
+    for n in list(range(41)) * 2:
+        p, q = rng.sample(range(-6, 7), 2)
+        a, b = (rng.choice((-1, 1)) * rng.randint(1, 5) for _ in range(2))
+        base = P({p: a, q: b})
+        expected = P.one()
+        for _ in range(n):
+            expected = expected * base
+        power = base ** n
+        assert power == expected, (base, n)
+        assert all(type(c) is int and c for c in power.coeffs.values())
+
+
 def test_laurent_negative_exponents():
     p = P({-1: 1, 1: -1})
     q = divide_exact(p, one_minus(2))
