@@ -12,8 +12,8 @@ per-block factor of ``counting``:
   block type, into one integer polynomial per class times the blocks'
   numerators but one (1 + t)^(2g) (``counting.odd_plus``; see below).
 * ``poincare_qclosed``: the point-count route.  The same block sum with
-  the exponents of the stable-count generating function, bridged back to
-  Betti numbers; ``compare_methods`` checks it against the first route.
+  the exponents of the stable-count generating function, shifted back to
+  the Betti side; ``compare_methods`` checks it against the first route.
 * ``recursion.recursion_poincare``: the Harder-Narasimhan recursion in
   truncated series, which never cites the closed solution.
 * ``rank2.poincare_rank2``: the rank-2 subset sum over the weight gaps.
@@ -25,24 +25,17 @@ process that runs a closed route never loads them.
 ``sweep`` solves a grid of genera and degrees, and on the closed routes
 finds each degree's stability witness and block classes once for every genus.
 
-The recursion ends with the shift-free bridge prefactor
-(1 - t)^(2g) (1 - t^2)^(1 - 2g), after a shift of its own.  Every class of
-the closed block sum carries (1 + t)^(2g), and (1 + t)^(2g) times the bridge
-is 1 - t^2, so the closed routes leave that factor out and end with 1 - t^2:
-the function they certify has the same factors at every genus.
+Every class of the closed block sum carries (1 + t)^(2g), and (1 + t)^(2g)
+times the bridge (1 - t)^(2g) (1 - t^2)^(1 - 2g) from counts to Betti
+numbers is 1 - t^2, so the closed routes leave that factor out and end with
+1 - t^2: the function they certify has the same factors at every genus.
 """
 
 import itertools
 
-from .counting import block_factor, flag_denominator, odd_plus, rank_denominator
+from .counting import flag_denominator, odd_plus, rank_denominator
 from .laurent import MAX_TRUNCATION, LaurentPoly, NonDivisible, TruncationLimit, one_plus
-from .parabolic import (
-    Instance,
-    _integer_weights,
-    _strata,
-    moduli_dim,
-    slope_coincidence_witness,
-)
+from .parabolic import Instance, _integer_block, _strata, moduli_dim, slope_coincidence_witness
 from .ratfunc import FactoredRatFunc
 from .result import NonPolynomialResult, result_from_poly
 
@@ -79,17 +72,6 @@ def _count_shift(mults, genus):
     return n * n * (genus - 1) + sum(n * n - sum(m * m for m in ms) for ms in mults)
 
 
-def _block_q(mults, genus):
-    """Count generating function of the full family over one block."""
-    return FactoredRatFunc.monomial(-_count_shift(mults, genus)) * block_factor(mults, genus)
-
-
-def _bridge(genus):
-    """Shift-free prefactor (1 - t)^(2g) (1 - t^2)^(1 - 2g) that turns a
-    count function into the Betti polynomial; each route adds its shift."""
-    return FactoredRatFunc(0, LaurentPoly.one(), {1: 2 * genus, 2: 1 - 2 * genus})
-
-
 def _certify(func, instance, method, ss_ok):
     dim = moduli_dim(instance.data, instance.genus)
     try:
@@ -101,7 +83,7 @@ def _certify(func, instance, method, ss_ok):
     return result_from_poly(poly, dim, method, ss_ok)
 
 
-def _block_classes(data, d, table_term):
+def _block_classes(den, block, d, table_term):
     """The partitions of the closed routes' block sum, grouped by class.
 
     A partition is a composition ``cols`` of the rank (block ranks c_k) and
@@ -116,22 +98,22 @@ def _block_classes(data, d, table_term):
     are the same at d and d + n: each floor grows by N_k, and
     sum_k (c_k + c_{k+1}) N_k = n (n - c_r) cancels the d term.
 
-    No partition or block is built.  The weights are scaled once to integers
-    over their lcm denominator D, so a floor is one integer division
-    (N_k (d D + W) - n A_k) // (n D), W and A_k over D.  Each point's tables
-    (``_strata``) are turned once per composition into their prefix weights,
-    table term and flag denominator, the last packed as base-(s n + 1)
-    digits so that the points add as integers.  Classes are keyed by (sorted
+    No partition or block is built.  The data comes as ``_integer_block``
+    gives it, weights over one denominator D, so a floor is one integer
+    division (N_k (d D + W) - n A_k) // (n D), W and A_k over D.  Each
+    point's tables (``_strata``) are turned once per composition into their
+    prefix weights, table term and flag denominator, the last packed as
+    base-(s n + 1) digits so that the points add as integers.  Classes are keyed by (sorted
     block ranks, factor exponents) in the order the strata come; each maps
     x to its signed count.
     """
-    n = data.rank
-    den, weights = _integer_weights(data)
-    top = d * den + sum(m * w for p, ws in zip(data.points, weights) for m, w in zip(p.mults, ws))
+    mults, nums = block
+    n, s = sum(mults[0]), len(mults)
+    top = d * den + sum(m * w for ms, ws in zip(mults, nums) for m, w in zip(ms, ws))
     nd = n * den
-    base = data.num_points * n + 1
+    base = s * n + 1
     classes = {}
-    for cols, strata in _strata([p.mults for p in data.points], weights, 1, {}):
+    for cols, strata in _strata(mults, nums, 1, {}):
         r = len(cols)
         sign = (-1) ** (r - 1)
         pair_sums = [cols[k] + cols[k + 1] for k in range(r - 1)]
@@ -139,17 +121,17 @@ def _block_classes(data, d, table_term):
         for c in pair_sums:
             factors[2 * c] = factors.get(2 * c, 0) - 1
         for c in cols:
-            for m, e in rank_denominator(c, data.num_points).items():
+            for m, e in rank_denominator(c, s).items():
                 factors[m] = factors.get(m, 0) + e
         tops = [k * top for k in itertools.accumulate(cols[:-1])]
         x0 = 2 * (sum(pair_sums) - (n - cols[-1]) * d)
         per_point = []
         for tables in strata:
             rows = []
-            for tbl, inv, coinv, nums in tables:
+            for tbl, inv, coinv, weights in tables:
                 entries = [a for row in tbl for a in row]
                 flag = flag_denominator(entries, {}).items()
-                prefix = [-n * a for a in itertools.accumulate(nums[:-1])]
+                prefix = [-n * a for a in itertools.accumulate(weights[:-1])]
                 code = sum(-e * base ** (m // 2 - 1) for m, e in flag)
                 rows.append((code, prefix, table_term(inv, coinv, sum(a * a for a in entries))))
             per_point.append(rows)
@@ -193,9 +175,9 @@ def _block_sum(classes, genus, cols_term):
     return total
 
 
-def _count_sum(data, genus, classes):
-    """The count side's ``_block_sum`` over the classes of ``_block_classes``."""
-    s = data.num_points
+def _count_sum(s, genus, classes):
+    """The count side's ``_block_sum`` over the classes of ``_block_classes``
+    of data with s points."""
     # minus each block's shift n_b^2 (g - 1) + 2 flag_dim(b), where
     # 2 flag_dim(b) is s n_b^2 minus the squares of the block's column in
     # every table (the table term adds those)
@@ -221,7 +203,7 @@ def _closed_route(instance, method, force, witnesses, classes):
     ss_ok = _check_stability(witnesses[d], force)
     key = d % data.rank
     if key not in classes:
-        classes[key] = _block_classes(data, d, _TABLE_TERMS[method])
+        classes[key] = _block_classes(*_integer_block(data), d, _TABLE_TERMS[method])
     if method == "closed":
         n = data.rank
         # twice the genus pairing (g - 1) sum_{k<l} c_k c_l of the block ranks
@@ -230,7 +212,7 @@ def _closed_route(instance, method, force, witnesses, classes):
         )
     else:
         shift = _count_shift([p.mults for p in data.points], g)
-        func = FactoredRatFunc.monomial(shift) * _count_sum(data, g, classes[key])
+        func = FactoredRatFunc.monomial(shift) * _count_sum(data.num_points, g, classes[key])
     # 1 - t^2: the bridge prefactor times the (1 + t)^(2g) the sum left out
     return _certify(func * FactoredRatFunc(0, LaurentPoly.one(), {2: 1}), instance, method, ss_ok)
 
@@ -240,20 +222,23 @@ def poincare_closed(instance, force=False):
     return _closed_route(instance, "closed", force, {}, {})
 
 
-def q_ratfunc(data, d, genus):
-    """Stable-count generating function, exact in factored form.
+def q_ratfunc(den, block, d, genus):
+    """Stable-count generating function of an integer block (weights over
+    den, as ``_integer_block`` gives them), exact in factored form.
 
     Same block decomposition sum as the closed formula, written on the
     count side: each block enters as its full-family count, which is the
     block factor shifted by t^(-n^2(g-1) - 2 flag_dim).  The r = 1 term is
     the full-family count itself; the sum's left-out (1 + t)^(2g) is put back.
     """
-    func = _count_sum(data, genus, _block_classes(data, d, _TABLE_TERMS["qclosed"]))
+    classes = _block_classes(den, block, d, _TABLE_TERMS["qclosed"])
+    func = _count_sum(len(block[0]), genus, classes)
     return FactoredRatFunc(0, one_plus(1) ** (2 * genus)) * func
 
 
 def poincare_qclosed(instance, force=False):
-    """Betti polynomial via the count route and the bridge prefactor."""
+    """Betti polynomial via the count route: the stable-count function,
+    shifted to the Betti side and multiplied by 1 - t^2."""
     return _closed_route(instance, "qclosed", force, {}, {})
 
 

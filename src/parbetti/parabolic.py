@@ -18,6 +18,10 @@ with the data's multiplicities as row sums and a common column-sum vector
 downstream, and all three series routes walk them through ``_strata``,
 which reads each point's tables once per composition of the rank into
 integer pair counts and block weights; no stratum object is built.
+
+Below each route's entry point the data is one integer block
+(``_integer_block``): the multiplicities and the weight numerators over
+the weights' lcm denominator, zero rows kept, since they add nothing.
 """
 
 import itertools
@@ -158,14 +162,12 @@ def _bounded_compositions(total, bounds):
 
 
 def _compositions(n, r):
-    """Compositions of n into r parts >= 1, lexicographic."""
-    if r == 1:
-        return [(n,)]
-    out = []
-    for first in range(1, n - r + 2):
-        for rest in _compositions(n - first, r - 1):
-            out.append((first,) + rest)
-    return out
+    """Compositions of n into r parts >= 1, lexicographic: the parts
+    between r - 1 cut points of 1..n-1, an iterator."""
+    return (
+        tuple(b - a for a, b in zip((0, *cuts), (*cuts, n)))
+        for cuts in itertools.combinations(range(1, n), r - 1)
+    )
 
 
 def _tables_for_point(mults, cols):
@@ -211,11 +213,14 @@ def table_pairs(tbl, cols):
     return inv, coinv
 
 
-def _integer_weights(data):
-    """The lcm D of the weights' denominators, and each point's weights
-    scaled by D to ints."""
+def _integer_block(data):
+    """The data in integers, ``(den, (mults, nums))``: den is the lcm of the
+    weights' denominators, and per point ``mults`` holds the multiplicities
+    and ``nums`` the weights' numerators over den.  Zero rows are kept.
+    This is where every route turns weights into ints, once."""
     den = math.lcm(*(w.denominator for p in data.points for w in p.weights))
-    return den, [[w.numerator * (den // w.denominator) for w in p.weights] for p in data.points]
+    nums = (tuple(w.numerator * (den // w.denominator) for w in p.weights) for p in data.points)
+    return den, (tuple(p.mults for p in data.points), tuple(nums))
 
 
 def _strata(mults, weights, min_length, shapes):
@@ -248,14 +253,6 @@ def _strata(mults, weights, min_length, shapes):
             yield cols, per_point
 
 
-def _block_data(block, den):
-    """QPData of an integer block ``(mults, nums)``: per point, the
-    multiplicities and the weight numerators over den."""
-    return _derived(
-        (ms, tuple(Fraction(a, den) for a in ns)) for ms, ns in zip(*block)
-    )
-
-
 def slope_coincidence_witness(data, degree):
     """A proper sub-datum whose slope can match the total slope, or None.
 
@@ -265,12 +262,12 @@ def slope_coincidence_witness(data, degree):
     lexicographically; only the first hit is built.
     """
     n, pts = data.rank, data.points
-    den, weights = _integer_weights(data)
-    top = degree * den + sum(m * w for p, ws in zip(pts, weights) for m, w in zip(p.mults, ws))
+    den, (mults, nums) = _integer_block(data)
+    top = degree * den + sum(m * w for ms, ws in zip(mults, nums) for m, w in zip(ms, ws))
     for r in range(1, n):
         per_point = [
-            [(c, sum(a * w for a, w in zip(c, ws))) for c in _bounded_compositions(r, p.mults)]
-            for p, ws in zip(pts, weights)
+            [(c, sum(a * w for a, w in zip(c, ws))) for c in _bounded_compositions(r, ms)]
+            for ms, ws in zip(mults, nums)
         ]
         for combo in itertools.product(*per_point):
             e, rest = divmod(r * top - n * sum(a for _, a in combo), n * den)

@@ -5,9 +5,9 @@ cyclotomic-style factors (1 - t^k), so the factor dict maps k >= 1 to an
 integer exponent e_k (negative exponents are denominator factors), and the
 numerator p has integer coefficients.  Keeping the factorization explicit
 makes exact series expansion and exact polynomial certification cheap.
-The recursion multiplies by the expansion of one such function, the
-engine's bridge prefactor, so no series is ever inverted; the closed routes
-certify their block sum times 1 - t^2, the bridge with the genus cancelled.
+The recursion multiplies by the expansion of one such function, its
+bridge prefactor, so no series is ever inverted; the closed routes certify
+their block sum times 1 - t^2, the bridge with the genus cancelled.
 
 Every factor is 1 - t^k, so expansion, certification and sums run linear
 passes over one dense list of int coefficients, t^i at index i: multiplying

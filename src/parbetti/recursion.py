@@ -9,9 +9,12 @@ search, and the tuples of all strata are grouped by the multiset of their
 (block, residue mod the block's rank) pairs, each multiset with an exact
 polynomial of its shifts.  The sorted multisets form a trie, and Horner's
 rule over it makes one series product per inner node.  All rank-1 blocks
-share one series, whatever their weights.  The route ends with the bridge
-prefactor (1 - t)^(2g) (1 - t^2)^(1 - 2g), multiplied in as its series
-expansion, so no series is inverted.
+share one series, whatever their weights.
+
+The route ends with the bridge prefactor (1 - t)^(2g) (1 - t^2)^(1 - 2g)
+(``_bridge``), which turns a count function into the Betti polynomial after
+a shift of its own; it is multiplied in as its series expansion, so no
+series is inverted.
 
 ``siegel_check`` verifies the underlying mass identity order by order: it
 runs the recursion's own step on the closed route's stable counts.
@@ -22,17 +25,23 @@ runs the recursion's own step on the closed route's stable counts.
 import itertools
 import operator
 
-from .engine import _block_q, _bridge, _check_stability, _count_shift, q_ratfunc
+from .counting import block_factor
+from .engine import _check_stability, _count_shift, q_ratfunc
 from .laurent import LaurentPoly, LaurentSeries, TruncationTooSmall
-from .parabolic import (
-    _block_data,
-    _integer_weights,
-    _strata,
-    canonical_form,
-    moduli_dim,
-    slope_coincidence_witness,
-)
+from .parabolic import _integer_block, _strata, moduli_dim, slope_coincidence_witness
+from .ratfunc import FactoredRatFunc
 from .result import NonPolynomialResult, result_from_poly
+
+
+def _block_q(mults, genus):
+    """Count generating function of the full family over one block."""
+    return FactoredRatFunc.monomial(-_count_shift(mults, genus)) * block_factor(mults, genus)
+
+
+def _bridge(genus):
+    """Shift-free prefactor (1 - t)^(2g) (1 - t^2)^(1 - 2g) that turns a
+    count function into the Betti polynomial."""
+    return FactoredRatFunc(0, LaurentPoly.one(), {1: 2 * genus, 2: 1 - 2 * genus})
 
 
 def _pairing_floors(cols, den, nums):
@@ -121,11 +130,13 @@ class _Recursor:
     """Solves the filtration recursion in truncated series, memoized.
 
     A block is a pair ``(mults, nums)`` of int tuples, one per point: the
-    multiplicities of its nonzero flag rows and their weight numerators
-    over ``den``, the top-level data's denominator (every block's weights
-    are some of the data's).  ``memo`` maps (block, residue) to its series,
-    ``shapes`` holds the tables of ``_strata`` and ``families`` the
-    full-family counts per (mults, truncation); all three last one compute.
+    multiplicities of its flag rows and their weight numerators over
+    ``den``, the top-level data's denominator (every block's weights are
+    some of the data's).  Only the top-level block, as ``_integer_block``
+    gives it, may keep zero rows; the blocks of its strata drop them.
+    ``memo`` maps (block, residue) to its series, ``shapes`` holds the
+    tables of ``_strata`` and ``families`` the full-family counts per
+    (mults, truncation); all three last one compute.
 
     Degree enters only through its residue mod the rank: twisting by a line
     bundle of degree one shifts every degree tuple compatibly and leaves
@@ -143,7 +154,7 @@ class _Recursor:
         self.families = {}
 
     def q_series(self, block, d, trunc):
-        """Stable count of a block (no zero rows) through trunc."""
+        """Stable count of a block through trunc."""
         key = (block, d % sum(block[0][0]))
         hit = self.memo.get(key)
         if hit is not None and hit.trunc >= trunc:
@@ -275,13 +286,6 @@ class _Recursor:
         return total
 
 
-def _integer_block(data):
-    """Canonical data as ``(den, block)``: the lcm den of its weights'
-    denominators and the recursion's integer block over it."""
-    den, weights = _integer_weights(data)
-    return den, (tuple(p.mults for p in data.points), tuple(map(tuple, weights)))
-
-
 def recursion_poincare(instance, truncation=None, force=False):
     """Betti polynomial by solving the recursion in truncated series.
 
@@ -298,7 +302,7 @@ def recursion_poincare(instance, truncation=None, force=False):
         raise TruncationTooSmall(
             f"truncation {n_master} cannot reach degree {2 * dim}"
         )
-    den, block = _integer_block(canonical_form(data))
+    den, block = _integer_block(data)
     c = _count_shift(block[0], g)
     q = _Recursor(g, den).q_series(block, d, n_master - c)
     p = q.shift(c) * _bridge(g).expand(n_master)
@@ -321,7 +325,7 @@ class _ClosedCounts(_Recursor):
     """The recursion step fed with the closed route's stable counts."""
 
     def _stable_count(self, block, d, trunc):
-        return q_ratfunc(_block_data(block, self.den), d, self.genus).expand(trunc)
+        return q_ratfunc(self.den, block, d, self.genus).expand(trunc)
 
 
 def siegel_check(data, genus, d, order):
@@ -334,8 +338,7 @@ def siegel_check(data, genus, d, order):
     return the closed stable count of the datum.  Returns (True, None) on
     agreement, otherwise (False, first differing exponent).
     """
-    data = canonical_form(data)
     den, block = _integer_block(data)
     step = _ClosedCounts(genus, den)._compute(block, d, order)
-    diff = step.first_difference(q_ratfunc(data, d, genus).expand(order), through=order)
+    diff = step.first_difference(q_ratfunc(den, block, d, genus).expand(order), through=order)
     return (diff is None, diff)

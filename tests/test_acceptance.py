@@ -43,7 +43,7 @@ from parbetti import (
 )
 from parbetti.parabolic import (
     _compositions,
-    _integer_weights,
+    _integer_block,
     _strata,
 )
 from parbetti.rank2 import family_formula
@@ -475,7 +475,7 @@ def test_09_brute_force_oracles():
         data = make_data([(m, ladder[: len(m)]) for m in shape])
         mine = {
             (cols, tables)
-            for cols, per_point in _strata(shape, _integer_weights(data)[1], 1, {})
+            for cols, per_point in _strata(shape, _integer_block(data)[1][1], 1, {})
             for tables in product(*([t[0] for t in ts] for ts in per_point))
         }
         assert mine == brute_partitions([tuple(m) for m in shape])

@@ -407,9 +407,9 @@ def test_sweep_walks_block_classes_once_per_degree(tmp_path, capsys, monkeypatch
     walks = []
     walk = engine._block_classes
 
-    def counted(data, d, *terms):
+    def counted(den, block, d, *terms):
         walks.append(d)
-        return walk(data, d, *terms)
+        return walk(den, block, d, *terms)
 
     monkeypatch.setattr(engine, "_block_classes", counted)
     path = _doc(tmp_path, dict(CASE_A, points=RANK4))

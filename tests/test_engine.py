@@ -26,6 +26,7 @@ from parbetti.laurent import LaurentPoly, LaurentSeries, TruncationTooSmall, one
 from parbetti.parabolic import (
     Instance,
     _compositions,
+    _integer_block,
     _tables_for_point,
     canonical_form,
     flag_dim,
@@ -127,9 +128,10 @@ def test_result_checks_run_only_when_semistable_equals_stable():
 
 
 def test_degree_periodicity_of_count_function():
-    assert q_ratfunc(R2, 1, 2) == q_ratfunc(R2, 3, 2)
-    assert q_ratfunc(R2, 0, 1) == q_ratfunc(R2, -2, 1)
-    assert q_ratfunc(R3, 2, 1) == q_ratfunc(R3, 5, 1)
+    r2, r3 = _integer_block(R2), _integer_block(R3)
+    assert q_ratfunc(*r2, 1, 2) == q_ratfunc(*r2, 3, 2)
+    assert q_ratfunc(*r2, 0, 1) == q_ratfunc(*r2, -2, 1)
+    assert q_ratfunc(*r3, 2, 1) == q_ratfunc(*r3, 5, 1)
 
 
 def test_degree_periodicity_of_betti():
@@ -163,11 +165,11 @@ def test_qclosed_matches_closed_rank4():
 def test_bridge_prefactor_expansion():
     """(1 - t)^(2g) (1 - t^2)^(1 - 2g) = (1 - t^2) / (1 + t)^(2g)."""
     one_minus_t2 = LaurentPoly({0: 1, 2: -1})
-    assert engine._bridge(0).expand(40) == LaurentSeries(one_minus_t2.coeffs, 40)
+    assert recursion._bridge(0).expand(40) == LaurentSeries(one_minus_t2.coeffs, 40)
     for g in range(1, 9):
         inverse = {j: (-1) ** j * math.comb(2 * g - 1 + j, j) for j in range(41)}
         expected = LaurentSeries(inverse, 40).mul_poly(one_minus_t2)
-        assert engine._bridge(g).expand(40) == expected
+        assert recursion._bridge(g).expand(40) == expected
 
 
 def test_routes_keep_integer_coefficients(monkeypatch):
@@ -213,9 +215,9 @@ def test_siegel_identity_small():
 def test_siegel_check_sees_a_wrong_stable_count(monkeypatch):
     closed = recursion.q_ratfunc
 
-    def rank1_plus_t6(data, d, genus):
-        func = closed(data, d, genus)
-        return func + FactoredRatFunc.monomial(6) if data.rank == 1 else func
+    def rank1_plus_t6(den, block, d, genus):
+        func = closed(den, block, d, genus)
+        return func + FactoredRatFunc.monomial(6) if sum(block[0][0]) == 1 else func
 
     monkeypatch.setattr(recursion, "q_ratfunc", rank1_plus_t6)
     assert siegel_check(R2, 2, 1, 20) == (False, 5)
@@ -230,6 +232,7 @@ def test_siegel_check_sees_a_wrong_recursion_step(monkeypatch):
     monkeypatch.setattr(recursion._Recursor, "_horner", shifted)
     assert siegel_check(R2, 2, 1, 20)[0] is False
     assert siegel_check(R3, 1, 1, 16)[0] is False
+
 
 
 def test_method_dispatch():
@@ -429,12 +432,12 @@ def test_recursion_step_matches_per_tuple_sum(genus):
     trunc = 16
     parts = partitions(LADDER_TWO, min_length=2)
     assert len(parts) > 10
-    den, block = recursion._integer_block(LADDER_TWO)
+    den, block = _integer_block(LADDER_TWO)
     nonzero = 0
     for d in range(3):
         got = recursion._Recursor(genus, den)._compute(block, d, trunc)
         per_tuple = recursion._Recursor(genus, den)
-        want = engine._block_q(block[0], genus).expand(trunc)
+        want = recursion._block_q(block[0], genus).expand(trunc)
         for part in parts:
             term = _per_tuple_term(per_tuple, part, d, trunc)
             nonzero += bool(term.coeffs)
@@ -492,14 +495,16 @@ def test_rank1_count_ignores_weights(genus):
     b = make_data([((1,), ("5/7",)), ((1,), ("0",))])
     line_a = recursion._Recursor(genus, 3).q_series(_int_block(a, 3), 0, 14)
     assert line_a == recursion._Recursor(genus, 7).q_series(_int_block(b, 7), 1, 14)
-    assert q_ratfunc(a, 0, genus).expand(14) == q_ratfunc(b, 1, genus).expand(14)
+    assert q_ratfunc(*_integer_block(a), 0, genus).expand(14) == q_ratfunc(
+        *_integer_block(b), 1, genus
+    ).expand(14)
 
 
 def test_recursor_keeps_one_rank1_entry():
     """A rank-3 run memoises one rank-1 series, although its rank-2 blocks
     start at other weights than the data."""
     for data in (R3, LADDER_TWO):
-        den, block = recursion._integer_block(data)
+        den, block = _integer_block(data)
         rec = recursion._Recursor(1, den)
         rec.q_series(block, 1, 16)
         ranks = [sum(key[0][0][0]) for key in rec.memo]
@@ -570,7 +575,7 @@ def test_horner_deepens_every_factor(monkeypatch):
     """A product shorter than its branch needs deepens that branch's factor,
     in place, after the subtrie below it has deepened its own; the pass
     then equals the product of the deep series."""
-    den, r2 = recursion._integer_block(R2)
+    den, r2 = _integer_block(R2)
     line = (((1,),), ((0,),))
     rec = recursion._Recursor(1, den)
     blocks = [(line, 1, None), (r2, 2, None)]
@@ -781,7 +786,9 @@ def test_block_classes_match_rational_reference(monkeypatch):
             assert got == want
             assert list(got) == list(want)
             # and they repeat with period the rank in the degree
-            again = engine._block_classes(data, d + data.rank, engine._TABLE_TERMS[method])
+            again = engine._block_classes(
+                *_integer_block(data), d + data.rank, engine._TABLE_TERMS[method]
+            )
             assert again == classes and list(again) == list(classes)
             negative += neg
         parts += len(partitions(data))
@@ -878,3 +885,38 @@ def test_closed_certificate_is_genus_free(monkeypatch):
             for genus in (1, 30):
                 compute(Instance(genus, 1, data), method)
             assert seen[0] == seen[1] and seen[0], (data, method)
+
+
+def _with_zero_rows(data, q):
+    """The data with a zero-multiplicity row after every row, its weight a
+    1/q of the way to the next weight (or to 1): the canonical form is the
+    same, and the common denominator gains the prime q."""
+    rows = []
+    for p in data.points:
+        mults, weights = [], []
+        for w, up in zip(p.weights, p.weights[1:] + (Fraction(1),)):
+            weights += [w, w + (up - w) / q]
+        for m in p.mults:
+            mults += [m, 0]
+        rows.append((mults, weights))
+    return make_data(rows)
+
+
+@pytest.mark.parametrize(
+    "data, genus, d",
+    [(R2, 2, 1), (R3_TWO, 1, 1), (PLAIN, 3, 1), (LADDER_TWO, 0, 1), (PARTIAL_R4, 1, 1)],
+)
+def test_zero_rows_change_no_route(data, genus, d):
+    """Zero rows add nothing, and scaling the common denominator moves no
+    floor: on data with zero rows whose weights bring new denominators,
+    every route returns the polynomial of the canonical form, and the mass
+    identity check gives the same answer."""
+    padded = _with_zero_rows(data, 31)
+    assert canonical_form(padded) == data
+    assert _integer_block(padded)[0] == 31 * _integer_block(data)[0]
+    inst, plain = Instance(genus, d, padded), Instance(genus, d, data)
+    methods = applicable_methods(inst)
+    assert methods == applicable_methods(plain) and len(methods) >= 3
+    for m in methods:
+        assert compute(inst, m).poly == compute(plain, m).poly, m
+    assert siegel_check(padded, genus, d, 16) == siegel_check(data, genus, d, 16) == (True, None)

@@ -10,7 +10,7 @@ from parbetti.parabolic import (
     Instance,
     QPData,
     _bounded_compositions,
-    _integer_weights,
+    _integer_block,
     _strata,
     canonical_form,
     flag_dim,
@@ -166,7 +166,7 @@ def test_partitions_against_brute_force():
     for mults in cases:
         weights = [[F(i, 8) for i in range(len(m))] for m in mults]
         data = make_data(list(zip(mults, weights)))
-        den, scaled = _integer_weights(data)
+        den, (_, scaled) = _integer_block(data)
         got = []
         for cols, per_point in _strata(mults, scaled, 1, {}):
             for tables in product(*per_point):

@@ -40,7 +40,7 @@ def qp_datas(draw, max_rank=4, max_points=2):
     pts = []
     for _ in range(m):
         rows = draw(st.integers(min_value=1, max_value=n))
-        mults = list(draw(st.sampled_from(_compositions(n, rows))))
+        mults = list(draw(st.sampled_from(list(_compositions(n, rows)))))
         if draw(st.booleans()):
             mults.insert(draw(st.integers(0, len(mults))), 0)
         ws = draw(

@@ -115,6 +115,26 @@ def test_no_partition_objects_in_src():
     assert found == []
 
 
+def test_weights_become_ints_in_one_place():
+    """The data turns into integers over one denominator only in
+    ``parabolic._integer_block``: the engine and the recursion take its
+    blocks, and name no Fraction, numerator, denominator, lcm or canonical
+    form, nor turn a block back into rational data."""
+    banned = {"numerator", "denominator", "lcm", "Fraction", "canonical_form", "_block_data"}
+    for name in ("engine.py", "recursion.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        named = set(_references(tree))
+        named |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert named & banned == set(), name
+    defined = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "_integer_block"
+    ]
+    assert defined == ["parabolic.py"]
+
+
 def _is_empty_container(node):
     """An empty ``{}`` or ``[]`` literal, or a bare ``dict()``, ``list()`` or
     ``set()`` call."""
