@@ -253,16 +253,21 @@ def _strata(mults, weights, min_length, shapes):
             yield cols, per_point
 
 
-def slope_coincidence_witness(data, degree):
-    """A proper sub-datum whose slope can match the total slope, or None.
+def _sub_thresholds(den, block, degree):
+    """``(combo, (e, exact))`` for each proper sub-datum of an integer block
+    at this degree, by rank, then per point lexicographically.
 
-    Returns (sub, e) where e = r (degree + W) / n - A is an integer, for a
-    sub-datum of rank r and weight A (W the data's), in integers over the
-    weights' lcm denominator.  Sub-data come by rank, then per point
-    lexicographically; only the first hit is built.
+    ``combo`` holds per point the sub-datum's multiplicities c and their
+    weight numerator sum c w; A sums these over the points.  With r the
+    sub-datum's rank, n the block's and W the block's weight numerator,
+    ``e, rest = divmod(r (degree den + W) - n A, n den)``, and ``exact`` is
+    1 when rest is 0, else 0.  The sub-datum at degree e' has a larger slope
+    than the block exactly when e' > e, and the same slope exactly when
+    e' = e and exact is 1: the pair decides, for every e', how the
+    sub-datum's slope compares with the block's.
     """
-    n, pts = data.rank, data.points
-    den, (mults, nums) = _integer_block(data)
+    mults, nums = block
+    n = sum(mults[0])
     top = degree * den + sum(m * w for ms, ws in zip(mults, nums) for m, w in zip(ms, ws))
     for r in range(1, n):
         per_point = [
@@ -271,8 +276,20 @@ def slope_coincidence_witness(data, degree):
         ]
         for combo in itertools.product(*per_point):
             e, rest = divmod(r * top - n * sum(a for _, a in combo), n * den)
-            if not rest:
-                return _derived((c, p.weights) for (c, _), p in zip(combo, pts)), e
+            yield combo, (e, 0 if rest else 1)
+
+
+def slope_coincidence_witness(data, degree):
+    """A proper sub-datum whose slope can match the total slope, or None.
+
+    Returns (sub, e) where e = r (degree + W) / n - A is an integer, for a
+    sub-datum of rank r and weight A (W the data's): the first exact entry
+    of ``_sub_thresholds``, the only sub-datum built.
+    """
+    den, block = _integer_block(data)
+    for combo, (e, exact) in _sub_thresholds(den, block, degree):
+        if exact:
+            return _derived((c, p.weights) for (c, _), p in zip(combo, data.points)), e
     return None
 
 

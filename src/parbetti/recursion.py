@@ -6,10 +6,19 @@ closed solution of ``engine``.  It runs on integer blocks: per point, the
 multiplicities and the weight numerators over the data's one denominator.
 Each stratum's Harder-Narasimhan degree tuples are found by an integer
 search, and the tuples of all strata are grouped by the multiset of their
-(block, residue mod the block's rank) pairs, each multiset with an exact
-polynomial of its shifts.  The sorted multisets form a trie, and Horner's
-rule over it makes one series product per inner node.  All rank-1 blocks
-share one series, whatever their weights.
+blocks' memo keys, each multiset with an exact polynomial of its shifts.
+The sorted multisets form a trie, and Horner's rule over it makes one
+series product per inner node.
+
+A block's memo key is its stability chamber: its multiplicities, its
+degree mod its rank, and per proper sub-datum the floor of the degree at
+which that sub-datum's slope reaches the block's, with whether it reaches
+it exactly (``parabolic._sub_thresholds``).  These decide which sub-bundles
+destabilise, so the count is constant on the chamber (Boden-Hu, Math. Ann.
+301, 1995): blocks in one chamber share one series and one trie node, and
+all rank-1 blocks share one.  Each compute fetches each of its blocks once,
+as deep as its deepest stratum needs and lower ranks first, so most
+chambers are solved once.
 
 The route ends with the bridge prefactor (1 - t)^(2g) (1 - t^2)^(1 - 2g)
 (``_bridge``), which turns a count function into the Betti polynomial after
@@ -28,7 +37,13 @@ import operator
 from .counting import block_factor
 from .engine import _check_stability, _count_shift, q_ratfunc
 from .laurent import LaurentPoly, LaurentSeries, TruncationTooSmall
-from .parabolic import _integer_block, _strata, moduli_dim, slope_coincidence_witness
+from .parabolic import (
+    _integer_block,
+    _strata,
+    _sub_thresholds,
+    moduli_dim,
+    slope_coincidence_witness,
+)
 from .ratfunc import FactoredRatFunc
 from .result import NonPolynomialResult, result_from_poly
 
@@ -127,23 +142,28 @@ def hn_degree_tuples(cols, den, nums, d, pairing_bound, floors):
 
 
 class _Recursor:
-    """Solves the filtration recursion in truncated series, memoized.
+    """Solves the filtration recursion in truncated series, memoized by
+    stability chamber.
 
     A block is a pair ``(mults, nums)`` of int tuples, one per point: the
     multiplicities of its flag rows and their weight numerators over
     ``den``, the top-level data's denominator (every block's weights are
     some of the data's).  Only the top-level block, as ``_integer_block``
     gives it, may keep zero rows; the blocks of its strata drop them.
-    ``memo`` maps (block, residue) to its series, ``shapes`` holds the
-    tables of ``_strata`` and ``families`` the full-family counts per
-    (mults, truncation); all three last one compute.
+    ``memo`` maps a block's chamber (``_key``) to its series, ``shapes``
+    holds the tables of ``_strata`` and ``families`` the full-family counts
+    per (mults, truncation); all three last one compute.
 
-    Degree enters only through its residue mod the rank: twisting by a line
-    bundle of degree one shifts every degree tuple compatibly and leaves
-    both the pairing and the slope chain intact.  A rank-1 block's count
-    does not depend on its weights (its flag dimension is 0 and its factors
-    see only multiplicities), so every rank-1 block with s points is the
-    one with numerators 0, and they share one memo entry.
+    Degree enters only through its residue rho mod the rank: twisting by a
+    line bundle of degree one shifts every degree tuple compatibly and
+    leaves both the pairing and the slope chain intact.  Weights enter only
+    through the chamber: a bundle is semistable unless some sub-bundle has a
+    larger slope, and whether a sub-datum of given multiplicities at degree
+    e does is decided by its pair of ``parabolic._sub_thresholds`` (Boden-Hu
+    walls).  So the count is the same for every block with the same
+    multiplicities, residue and pairs, and such blocks share one series.
+    A rank-1 block has no proper sub-datum, so all rank-1 blocks on the
+    same number of points share one.
     """
 
     def __init__(self, genus, den):
@@ -153,13 +173,23 @@ class _Recursor:
         self.shapes = {}
         self.families = {}
 
+    def _key(self, block, rho):
+        """A block's chamber at residue rho: its multiplicities, rho, and
+        the threshold pair of every proper sub-datum, all ints."""
+        return block[0], rho, tuple(pair for _, pair in _sub_thresholds(self.den, block, rho))
+
     def q_series(self, block, d, trunc):
         """Stable count of a block through trunc."""
-        key = (block, d % sum(block[0][0]))
+        rho = d % sum(block[0][0])
+        return self._series(self._key(block, rho), block, rho, trunc)
+
+    def _series(self, key, block, rho, trunc):
+        """Stable count of a block at residue rho through trunc, memoised
+        under its key."""
         hit = self.memo.get(key)
         if hit is not None and hit.trunc >= trunc:
             return hit
-        series = self._stable_count(block, key[1], trunc).exact_through(trunc)
+        series = self._stable_count(block, rho, trunc).exact_through(trunc)
         self.memo[key] = series
         return series
 
@@ -173,87 +203,103 @@ class _Recursor:
 
         A degree tuple of a stratum (sigma inversions) adds the product of
         its block series times t^(2(pairing - sigma)), and the product
-        depends only on the multiset of (block, d_k mod n_k) pairs.  So the
-        walk over the strata fetches each block's series as deep as the
-        stratum's certificate needs, bounds the pairing so that the skipped
-        tuples land past trunc, and adds each tuple's shift into its
-        multiset's node of a trie of sorted (block number, residue) pairs;
-        ``_horner`` then makes the products.  Blocks are numbered by their
-        table columns.
+        depends only on the multiset of the blocks' memo keys at their
+        residues d_k mod n_k.  A first walk over the strata numbers the
+        blocks and finds how deep each block's series must reach for its
+        deepest stratum.  The blocks are then fetched once each, lower ranks
+        first, so that the computes of the higher ones find the lower ones
+        deep enough.  A second walk bounds each stratum's pairing so that
+        the skipped tuples land past trunc, and adds each tuple's shift into
+        its multiset's node of a trie of sorted key numbers; ``_horner``
+        then makes the products.  Blocks are numbered by their table
+        columns (all rank-1 blocks by one number), keys in the order they
+        are met.
         """
         g = self.genus
         mults, nums = block
         total = self.families.get((mults, trunc))
         if total is None:
             total = self.families[mults, trunc] = _block_q(mults, g).expand(trunc)
-        if sum(mults[0]) == 1:
-            return total
-        line = (((1,),) * len(mults), ((0,),) * len(mults))
         den = self.den
-        ids = {}  # a block's table columns (rank 1: ()) -> its number
-        blocks = []  # number -> (block, rank, -count shift)
-        series = {}  # (number, residue) -> deepest series fetched
-        fetched = {}  # number -> (least depth, least order bound) of its series
-        trie = {}  # (number, residue) -> (shifts of the multiset ending here, subtrie)
+        ids = {}  # a block's table columns -> its number
+        blocks = []  # number -> (its key numbers by residue, -count shift)
+        numbers = {}  # memo key -> key number
+        keys = []  # key number -> (memo key, block, residue)
+        series = {}  # key number -> deepest series fetched
+        walk = []  # (cols, block numbers, weight sums, sigma, floors) per stratum
+        need = {}  # block number -> greatest probe of its strata
         for cols, strata in _strata(mults, nums, 2, self.shapes):
             for tables in itertools.product(*strata):
                 sums = [sum(col) for col in zip(*(t[3] for t in tables))]
                 sigma = sum(t[1] for t in tables)
                 ks = []
                 for k, c in enumerate(cols):
-                    key = tuple(row[k] for tbl, *_ in tables for row in tbl) if c > 1 else ()
-                    i = ids.get(key)
+                    # every rank-1 block has one chamber and one count shift
+                    column = tuple(row[k] for tbl, *_ in tables for row in tbl) if c > 1 else ()
+                    i = ids.get(column)
                     if i is None:
                         # block k is column k of every table, zero rows dropped:
                         # zip(*pairs) is its (mults, nums) at one point
-                        b = line if c == 1 else tuple(zip(*(
+                        b = tuple(zip(*(
                             tuple(zip(*((row[k], w) for row, w in zip(tbl, ws) if row[k])))
                             for (tbl, *_), ws in zip(tables, nums)
                         )))
-                        i = ids[key] = len(blocks)
-                        blocks.append((b, c, -_count_shift(b[0], g)))
+                        by_rho = []
+                        for rho in range(c):
+                            key = self._key(b, rho)
+                            p = numbers.get(key)
+                            if p is None:
+                                p = numbers[key] = len(keys)
+                                keys.append((key, b, rho))
+                            by_rho.append(p)
+                        i = ids[column] = len(blocks)
+                        blocks.append((by_rho, -_count_shift(b[0], g)))
                     ks.append(i)
                 floors = _pairing_floors(cols, den, sums)
                 # a block's probe: trunc less the smallest shift and the
                 # other blocks' leading orders
-                spare = trunc - 2 * (floors[0] - sigma) - sum(blocks[i][2] for i in ks)
-                certs = []
+                spare = trunc - 2 * (floors[0] - sigma) - sum(blocks[i][1] for i in ks)
                 for i in ks:
-                    b, c, order = blocks[i]
-                    depth, cert = fetched.get(i, (spare + order - 1, None))
-                    if depth < spare + order:
-                        got = [self.q_series(b, rho, spare + order) for rho in range(c)]
-                        series.update(((i, rho), s) for rho, s in enumerate(got))
-                        depth = min(s.trunc for s in got)
-                        cert = min(s.order_bound() for s in got)
-                        fetched[i] = depth, cert
-                    certs.append(cert)
-                bound = (trunc - sum(certs)) // 2 + sigma
-                # anything past the bound sits beyond trunc after the shift
-                if 2 * (bound + 1 - sigma) + sum(certs) <= trunc:
-                    raise TruncationTooSmall(
-                        f"degree-tuple bound {bound} leaves terms below t^{trunc}"
-                    )
-                leaves = {}  # residues -> shifts of their multiset in the trie
-                for dvec, pairing in hn_degree_tuples(cols, den, sums, d, bound, floors):
-                    rhos = tuple(map(operator.mod, dvec, cols))
-                    shifts = leaves.get(rhos)
-                    if shifts is None:
-                        node = trie
-                        for pair in sorted(zip(ks, rhos)):
-                            branch = node.get(pair)
-                            if branch is None:
-                                branch = node[pair] = ({}, {})
-                            node = branch[1]
-                        shifts = leaves[rhos] = branch[0]
-                    shift = 2 * (pairing - sigma)
-                    shifts[shift] = shifts.get(shift, 0) + 1
-        total = total - self._horner(trie, trunc, blocks, series)
+                    need[i] = max(need.get(i, spare), spare)
+                walk.append((cols, ks, sums, sigma, floors))
+        # each block's series once, through its greatest probe plus its own
+        # order; lower ranks first, so that the computes of the higher ones
+        # find theirs deep enough
+        certs = {}  # block number -> least order bound of its series
+        for i in sorted(need, key=lambda i: len(blocks[i][0])):
+            by_rho, order = blocks[i]
+            got = [self._series(*keys[p], need[i] + order) for p in by_rho]
+            series.update(zip(by_rho, got))
+            certs[i] = min(s.order_bound() for s in got)
+        trie = {}  # key number -> (shifts of the multiset ending here, subtrie)
+        for cols, ks, sums, sigma, floors in walk:
+            cert = sum(certs[i] for i in ks)
+            bound = (trunc - cert) // 2 + sigma
+            # anything past the bound sits beyond trunc after the shift
+            if 2 * (bound + 1 - sigma) + cert <= trunc:
+                raise TruncationTooSmall(
+                    f"degree-tuple bound {bound} leaves terms below t^{trunc}"
+                )
+            leaves = {}  # residues -> shifts of their multiset in the trie
+            for dvec, pairing in hn_degree_tuples(cols, den, sums, d, bound, floors):
+                rhos = tuple(map(operator.mod, dvec, cols))
+                shifts = leaves.get(rhos)
+                if shifts is None:
+                    node = trie
+                    for p in sorted(blocks[i][0][rho] for i, rho in zip(ks, rhos)):
+                        branch = node.get(p)
+                        if branch is None:
+                            branch = node[p] = ({}, {})
+                        node = branch[1]
+                    shifts = leaves[rhos] = branch[0]
+                shift = 2 * (pairing - sigma)
+                shifts[shift] = shifts.get(shift, 0) + 1
+        total = total - self._horner(trie, trunc, keys, series)
         return total.exact_through(trunc).truncate(trunc)
 
-    def _horner(self, trie, need, blocks, series):
+    def _horner(self, trie, need, keys, series):
         """The sum over the trie's multisets of the product of ``series[p]``
-        over their pairs p times their shifts, exact through need.
+        over their key numbers p times their shifts, exact through need.
 
         Horner's rule: V = sum over the branches (p, shifts, subtrie) of
         series[p] (shifts + V(subtrie)), one product per branch (``mul_poly``
@@ -261,15 +307,15 @@ class _Recursor:
         factor's order first; the subtrie's lowest exponent then sets the
         factor's depth, or leaves no room.  A short product means the factor
         started later than its family count predicts: it is deepened by the
-        deficit and the product retried, after the subtrie has deepened the
-        factors under it.
+        deficit through ``keys[p]``, its (memo key, block, residue), and the
+        product retried, after the subtrie has deepened the factors under it.
         """
         total = LaurentSeries.zero(need)
-        for pair, (shifts, sub) in trie.items():
-            s = series[pair]
+        for p, (shifts, sub) in trie.items():
+            s = series[p]
             if sub:
                 inner = need - s.order_bound()
-                x = LaurentSeries(shifts, inner) + self._horner(sub, inner, blocks, series)
+                x = LaurentSeries(shifts, inner) + self._horner(sub, inner, keys, series)
                 low = x.order_bound()
             else:
                 x = LaurentPoly(shifts)
@@ -280,9 +326,7 @@ class _Recursor:
                 if term.trunc >= need:
                     total = total + term
                     break
-                s = series[pair] = self.q_series(
-                    blocks[pair[0]][0], pair[1], s.trunc + need - term.trunc
-                )
+                s = series[p] = self._series(*keys[p], s.trunc + need - term.trunc)
         return total
 
 
@@ -322,7 +366,12 @@ def recursion_poincare(instance, truncation=None, force=False):
 
 
 class _ClosedCounts(_Recursor):
-    """The recursion step fed with the closed route's stable counts."""
+    """The recursion step fed with the closed route's stable counts, keyed
+    by the exact (block, residue): every block's own closed count is
+    evaluated, however many share its chamber."""
+
+    def _key(self, block, rho):
+        return block, rho
 
     def _stable_count(self, block, d, trunc):
         return q_ratfunc(self.den, block, d, self.genus).expand(trunc)

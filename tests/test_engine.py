@@ -476,15 +476,19 @@ def _count_products(monkeypatch):
 def test_recursion_multiplies_once_per_residue_class(monkeypatch):
     """Fewer series products than degree tuples, and fewer than block
     multisets: the multisets of all strata form one trie, and Horner's rule
-    over it makes one series product per inner node (30 here) plus the
-    bridge's.  One product per multiset factor made 49 series products, and
-    one per class and stratum 221; the enumeration is unchanged."""
+    over it makes one series product per inner node (5 here) plus the
+    bridge's.  Blocks in one stability chamber share one series and one
+    trie node, and each block is fetched once, as deep as its deepest
+    stratum needs, so each chamber is solved about once.  Keyed by the
+    exact block, the same run enumerated 1 213 tuples and made 31 series
+    products and 47 ``mul_poly``; one product per multiset factor made 49
+    series products, and one per class and stratum 221."""
     counts = _count_products(monkeypatch)
     res = recursion_poincare(Instance(3, 0, LADDER_TWO))
     assert res.poly == poincare_closed(Instance(3, 0, LADDER_TWO)).poly
-    assert counts["tuples"] == 1213
-    assert counts["mul"] <= 31
-    assert counts["mul_poly"] <= 47
+    assert counts["tuples"] == 508
+    assert counts["mul"] <= 6
+    assert counts["mul_poly"] <= 7
 
 
 @pytest.mark.parametrize("genus", [0, 2])
@@ -507,14 +511,14 @@ def test_recursor_keeps_one_rank1_entry():
         den, block = _integer_block(data)
         rec = recursion._Recursor(1, den)
         rec.q_series(block, 1, 16)
-        ranks = [sum(key[0][0][0]) for key in rec.memo]
+        ranks = [sum(key[0][0]) for key in rec.memo]  # a key starts with the mults
         assert ranks.count(2) and ranks.count(1) == 1
 
 
 def test_recursor_keys_are_ints(monkeypatch):
     """The recursion hashes no Fraction: every memo key is built of int
     tuples, and a run on two full flags calls ``Fraction.__hash__`` zero
-    times."""
+    times.  The run meets five stability chambers, one memo entry each."""
 
     def ints_only(key):
         if isinstance(key, tuple):
@@ -542,8 +546,84 @@ def test_recursor_keys_are_ints(monkeypatch):
     monkeypatch.undo()
     assert res.poly == poincare_closed(inst).poly
     (rec,) = recursors
-    assert len(rec.memo) > 5 and all(ints_only(key) for key in rec.memo)
+    assert len(rec.memo) == 5 and all(ints_only(key) for key in rec.memo)
     assert hashes == []
+
+
+class _ExactKeys(recursion._Recursor):
+    """The recursion with its memo keyed by the exact (block, residue)."""
+
+    def _key(self, block, rho):
+        return block, rho
+
+
+def _random_data(rng, n, points):
+    """Data of rank n with random flags and weights over small denominators."""
+    specs = []
+    for _ in range(points):
+        rows = rng.randint(1, n)
+        mults = rng.choice(list(_compositions(n, rows)))
+        den = rng.choice([q for q in (2, 3, 4, 5, 6, 7, 12) if q >= rows])
+        weights = sorted(rng.sample(range(den), rows))
+        specs.append((mults, tuple(Fraction(w, den) for w in weights)))
+    return make_data(specs)
+
+
+def _strictly_semistable(rng, count):
+    """``count`` random (data, degree) pairs of ranks 2-4 on 1-3 points that
+    are strictly semistable, drawn until found."""
+    found = []
+    while len(found) < count:
+        data = _random_data(rng, rng.randint(2, 4), rng.randint(1, 3))
+        degrees = [d for d in range(data.rank) if not parabolic.ss_equals_stable(data, d)]
+        found += [(data, d) for d in degrees[:1]]
+    return found
+
+
+def test_chamber_keys_change_no_series():
+    """A block's stable count is constant on its stability chamber: the
+    recursion keyed by chamber gives the same series, through the same
+    truncation, as one keyed by the exact block, and so does every block
+    the exact one solved on the way, looked up by its chamber.  Random data
+    of ranks 2-4 on 1-3 points at every residue, and drawn strictly
+    semistable data.  The chamber memo holds fewer entries, so blocks do
+    share."""
+    rng = random.Random(23)
+    drawn = [_random_data(rng, n, points) for n, points in product(range(2, 5), range(1, 4))]
+    cases = [(data, rho) for data in drawn for rho in range(data.rank)]
+    cases += _strictly_semistable(rng, 10)
+    merged = 0
+    for data, rho in cases:
+        den, block = _integer_block(data)
+        genus = rng.randint(0, 1)
+        chamber, exact = recursion._Recursor(genus, den), _ExactKeys(genus, den)
+        got = chamber.q_series(block, rho, 12)
+        assert got.trunc == 12 and got == exact.q_series(block, rho, 12), (data, rho)
+        merged += len(exact.memo) - len(chamber.memo)
+        for (b, r), series in exact.memo.items():
+            assert chamber.q_series(b, r, series.trunc).truncate(series.trunc) == series, (b, r)
+    assert merged > 100
+
+
+def test_siegel_check_sees_each_block_of_a_chamber(monkeypatch):
+    """The rank-2 blocks with weights (0, 1/3) and (1/3, 2/3) of one full
+    flag share their chamber at both residues, yet ``siegel_check`` feeds
+    each its own closed count: a wrong count on either one is caught."""
+    data = make_data([((1, 1, 1), ("0", "1/3", "2/3"))])
+    den, _ = _integer_block(data)
+    low, high = (((1, 1),), ((0, 1),)), (((1, 1),), ((1, 2),))
+    rec = recursion._Recursor(1, den)
+    assert all(rec._key(low, rho) == rec._key(high, rho) for rho in range(2))
+    closed = recursion.q_ratfunc
+    assert siegel_check(data, 1, 1, 16) == (True, None)
+    for wrong in (low, high):
+
+        def off_by_t4(den, block, d, genus, wrong=wrong):
+            func = closed(den, block, d, genus)
+            return func + FactoredRatFunc.monomial(4) if block == wrong else func
+
+        monkeypatch.setattr(recursion, "q_ratfunc", off_by_t4)
+        assert siegel_check(data, 1, 1, 16)[0] is False, wrong
 
 
 def test_tables_walked_once_per_shape(monkeypatch):
@@ -568,7 +648,9 @@ def test_tables_walked_once_per_shape(monkeypatch):
         met.clear()
         recursion_poincare(Instance(3, 0, LADDER_TWO))
         assert sorted(walked) == sorted(set(met))
-        assert len(walked) == 4 and len(met) > 3 * len(walked)
+        # one walk of the top block's three compositions and one per
+        # rank-2 chamber, two points each
+        assert len(walked) == 4 and len(met) == 12
 
 
 def test_horner_deepens_every_factor(monkeypatch):
@@ -578,23 +660,23 @@ def test_horner_deepens_every_factor(monkeypatch):
     den, r2 = _integer_block(R2)
     line = (((1,),), ((0,),))
     rec = recursion._Recursor(1, den)
-    blocks = [(line, 1, None), (r2, 2, None)]
-    deep = {(0, 0): rec.q_series(line, 0, 30), (1, 1): rec.q_series(r2, 1, 30)}
+    keys = [(rec._key(line, 0), line, 0), (rec._key(r2, 1), r2, 1)]
+    deep = {0: rec.q_series(line, 0, 30), 1: rec.q_series(r2, 1, 30)}
     series = {p: s.truncate(s.order_bound() + 1) for p, s in deep.items()}
     fetched = []
-    q_series = recursion._Recursor.q_series
+    fetch = recursion._Recursor._series
 
-    def counted(self, block, d, trunc):
+    def counted(self, key, block, d, trunc):
         fetched.append((block, d))
         assert len(fetched) <= 8, "deepening does not converge"
-        return q_series(self, block, d, trunc)
+        return fetch(self, key, block, d, trunc)
 
-    monkeypatch.setattr(recursion._Recursor, "q_series", counted)
+    monkeypatch.setattr(recursion._Recursor, "_series", counted)
     shifts = {0: 1, 4: 2}
-    # the one multiset {(0, 0), (0, 0), (1, 1)} as a trie
-    trie = {(0, 0): ({}, {(0, 0): ({}, {(1, 1): (shifts, {})})})}
-    got = rec._horner(trie, 12, blocks, series)
-    want = (deep[0, 0] * deep[0, 0] * deep[1, 1]).mul_poly(LaurentPoly(shifts))
+    # the one multiset {0, 0, 1} of key numbers as a trie
+    trie = {0: ({}, {0: ({}, {1: (shifts, {})})})}
+    got = rec._horner(trie, 12, keys, series)
+    want = (deep[0] * deep[0] * deep[1]).mul_poly(LaurentPoly(shifts))
     assert got.trunc == 12 and want.trunc >= 12
     assert got == want.truncate(12)
     assert {(line, 0), (r2, 1)} == set(fetched)

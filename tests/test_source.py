@@ -135,6 +135,20 @@ def test_weights_become_ints_in_one_place():
     assert defined == ["parabolic.py"]
 
 
+def test_sub_data_walked_in_one_place():
+    """Proper sub-data are walked only in ``parabolic``: no other module
+    names ``_bounded_compositions``, so the recursion's chamber key and the
+    stability check read one threshold walk."""
+    naming = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = set(_references(tree))
+        named |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        if "_bounded_compositions" in named:
+            naming.append(path.name)
+    assert naming == ["parabolic.py"]
+
+
 def _is_empty_container(node):
     """An empty ``{}`` or ``[]`` literal, or a bare ``dict()``, ``list()`` or
     ``set()`` call."""
