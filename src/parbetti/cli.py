@@ -7,6 +7,13 @@ must use the ``=`` form, unless it is a negative number.  ``-h`` or
 ``--help`` prints ``USAGE``.  A process imports only what its command runs:
 the recursion and rank-2 routes load when they are used.
 
+A weight in a document is a string in one grammar on every supported
+Python (``parabolic._parse_ratio``): an optional sign, decimal digits (any
+Unicode digit that ``int`` reads) and an optional ``/`` and denominator,
+with whitespace only around the whole.  A decimal spelling is refused as
+such; underscores, a zero denominator or more digits than ``int`` reads
+cannot be parsed.  The weights become ints there; no ``Fraction`` is built.
+
 Exit codes: 0 success, 1 invalid input or usage, 2 refusal on strictly
 semistable input (or an integral gap sum on the rank-2 route), 3 a failed
 certificate or routes that disagree under compare.  Usage errors print
@@ -24,7 +31,6 @@ import json
 import re
 import sys
 import time
-from fractions import Fraction
 from types import SimpleNamespace
 
 from .engine import (
@@ -38,7 +44,10 @@ from .engine import (
 from .laurent import TruncationLimit, TruncationTooSmall
 from .parabolic import (
     Instance,
-    make_data,
+    QPData,
+    _parse_ratio,
+    _point,
+    _ratio_text,
     moduli_dim,
     slope_coincidence_witness,
     ss_equals_stable,
@@ -66,8 +75,8 @@ def _parse_weight(text, where):
             f"{where}: decimal weights are not accepted, write an exact fraction"
         )
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+        return _parse_ratio(s)
+    except ValueError as exc:
         raise DocumentError(f"{where}: cannot parse {text!r} as a fraction") from exc
 
 
@@ -136,7 +145,7 @@ def parse_document(obj):
     if not isinstance(force, bool):
         raise DocumentError("options.force: expected true or false")
     try:
-        instance = Instance(genus, degree, make_data(specs))
+        instance = Instance(genus, degree, QPData(tuple(_point(*spec) for spec in specs)))
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
     return instance, {"method": method, "truncation": truncation, "force": force}
@@ -152,7 +161,7 @@ def emit_document(instance, options=None):
         "degree": instance.degree,
         "points": [
             {
-                "weights": [str(w) for w in pt.weights],
+                "weights": [_ratio_text(w) for w in pt.ratios],
                 "multiplicities": list(pt.mults),
             }
             for pt in instance.data.points

@@ -1,10 +1,14 @@
 """Quasi-parabolic data on a marked curve and its filtration combinatorics.
 
 A FlagPoint records the multiplicity vector of a flag at one marked point
-together with strictly increasing rational weights in [0, 1).  Zero
-multiplicities are allowed so that sub-data and blocks of a partition can be
-kept aligned with the ambient flag; dropping the zero rows is the canonical
-form and the two presentations are interchangeable.
+together with strictly increasing rational weights in [0, 1).  It stores
+each weight as ints, ``(numerator, denominator)`` in lowest terms
+(``ratios``), and checks the range and the order by cross-multiplying;
+``weights`` builds the ``fractions.Fraction`` values only when asked, so
+no route loads ``fractions``.  Zero multiplicities are allowed so that
+sub-data and blocks of a partition can be kept aligned with the ambient
+flag; dropping the zero rows is the canonical form and the two
+presentations are interchangeable.
 
 Outside input is validated once, by the public constructors it enters
 through (FlagPoint, QPData, make_data).  Everything derived here from
@@ -26,44 +30,109 @@ the weights' lcm denominator, zero rows kept, since they add nothing.
 
 import itertools
 import math
-from fractions import Fraction
 
 from .laurent import Record
 
 
-def _as_fraction(w):
-    if isinstance(w, Fraction):
-        return w
-    if isinstance(w, int):
-        return Fraction(w)
+def _parse_ratio(text):
+    """The weight that text spells, as ``(numerator, denominator)`` in lowest
+    terms.  The grammar: an optional sign, decimal digits and an optional
+    ``/`` and denominator digits, with whitespace around the whole and
+    nowhere else; a digit is any Unicode decimal digit, as ``int`` reads
+    it, and no underscore, decimal point or exponent is part of a number.
+    A ValueError for text outside it, a zero denominator or more digits than
+    ``int`` reads."""
+    num, slash, den = text.strip().partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if not digits.isdecimal() or slash and not den.isdecimal():
+        raise ValueError(f"not a weight: {text!r}")
+    return _reduced(int(num), int(den) if slash else 1)
+
+
+def _reduced(num, den):
+    """``(num, den)`` in lowest terms for a den >= 0; a ValueError for den 0."""
+    if den == 0:
+        raise ValueError("zero denominator")
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _ratio(w):
+    """A weight given as a string, an int or a rational with int numerator
+    and denominator (a ``Fraction``), as ``(numerator, denominator)``.  A
+    string outside the grammar of ``_parse_ratio`` (a decimal, say) is read
+    by ``Fraction``, so the library takes every string that ``Fraction``
+    does."""
     if isinstance(w, str):
-        return Fraction(w)
-    raise TypeError(f"weight must be exact, got {type(w).__name__}")
+        try:
+            return _parse_ratio(w)
+        except ValueError:
+            from fractions import Fraction
+
+            w = Fraction(w)
+    num, den = getattr(w, "numerator", None), getattr(w, "denominator", None)
+    if type(num) is not int or type(den) is not int or den <= 0:
+        raise TypeError(f"weight must be exact, got {type(w).__name__}")
+    return _reduced(num, den)
+
+
+def _ratio_text(ratio):
+    """A weight's ``(numerator, denominator)`` as ``str(Fraction)`` writes it."""
+    num, den = ratio
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _checked(mults, ratios):
+    """``(mults, ratios)`` of a point once the weights are checked against
+    the multiplicities and [0, 1), and for strict increase."""
+    if len(mults) != len(ratios) or not mults:
+        raise ValueError("mults and weights must be nonempty and equally long")
+    if any(m < 0 for m in mults):
+        raise ValueError("multiplicities must be >= 0")
+    for num, den in ratios:
+        if not 0 <= num < den:
+            raise ValueError(f"weight {_ratio_text((num, den))} outside [0, 1)")
+    for (a, b), (c, d) in zip(ratios, ratios[1:]):
+        if not a * d < c * b:
+            raise ValueError("weights must be strictly increasing")
+    return mults, ratios
+
+
+def _point(mults, ratios):
+    """A checked FlagPoint from a tuple of int multiplicities and the
+    weights as lowest-terms ``(numerator, denominator)`` pairs."""
+    p = object.__new__(FlagPoint)
+    Record.__init__(p, *_checked(mults, ratios))
+    return p
 
 
 class FlagPoint(Record):
-    __slots__ = ("mults", "weights")
+    __slots__ = ("mults", "ratios")
 
     def __init__(self, mults, weights):
         mults = tuple(mults)
         if not all(type(m) is int for m in mults):
             raise TypeError(f"multiplicities must be ints, got {mults!r}")
-        weights = tuple(_as_fraction(w) for w in weights)
-        Record.__init__(self, mults, weights)
-        if len(mults) != len(weights) or not mults:
-            raise ValueError("mults and weights must be nonempty and equally long")
-        if any(m < 0 for m in mults):
-            raise ValueError("multiplicities must be >= 0")
-        for w in weights:
-            if not (0 <= w < 1):
-                raise ValueError(f"weight {w} outside [0, 1)")
-        for a, b in zip(weights, weights[1:]):
-            if not a < b:
-                raise ValueError("weights must be strictly increasing")
+        Record.__init__(self, *_checked(mults, tuple(map(_ratio, weights))))
+
+    @property
+    def weights(self):
+        """The weights as ``Fraction``s, built on each access."""
+        from fractions import Fraction
+
+        return tuple(Fraction(num, den) for num, den in self.ratios)
 
     @property
     def rank(self):
         return sum(self.mults)
+
+    def __repr__(self):
+        weights = ", ".join(f"Fraction({num}, {den})" for num, den in self.ratios)
+        comma = "," if len(self.ratios) == 1 else ""
+        return f"FlagPoint(mults={self.mults!r}, weights=({weights}{comma}))"
+
+    def __reduce__(self):
+        return _point, (self.mults, self.ratios)
 
 
 class QPData(Record):
@@ -94,17 +163,20 @@ def make_data(point_specs):
 
 
 def _derived(rows):
-    """QPData from (mults, weights) rows derived from validated data.
+    """QPData from (mults, ratios) rows derived from validated data.
 
     Skips the constructors' checks: mults must be a tuple of non-negative
-    ints with one equal, positive sum per point, and weights an equally
-    long subsequence of a validated point's weights.
+    ints with one equal, positive sum per point, and ratios an equally
+    long subsequence of a validated point's ``ratios``.  Rows of
+    ``Fraction`` weights are read by their numerators and denominators.
     """
     pts = []
-    for mults, weights in rows:
+    for mults, ratios in rows:
+        if type(ratios[0]) is not tuple:
+            ratios = tuple((w.numerator, w.denominator) for w in ratios)
         p = object.__new__(FlagPoint)
         object.__setattr__(p, "mults", mults)
-        object.__setattr__(p, "weights", weights)
+        object.__setattr__(p, "ratios", ratios)
         pts.append(p)
     data = object.__new__(QPData)
     object.__setattr__(data, "points", tuple(pts))
@@ -141,7 +213,7 @@ def canonical_form(data):
     """Drop zero-multiplicity rows; weights of surviving rows are kept."""
     rows = []
     for p in data.points:
-        kept = [(m, w) for m, w in zip(p.mults, p.weights) if m > 0]
+        kept = [(m, w) for m, w in zip(p.mults, p.ratios) if m > 0]
         rows.append((tuple(m for m, _ in kept), tuple(w for _, w in kept)))
     return _derived(rows)
 
@@ -218,8 +290,8 @@ def _integer_block(data):
     weights' denominators, and per point ``mults`` holds the multiplicities
     and ``nums`` the weights' numerators over den.  Zero rows are kept.
     This is where every route turns weights into ints, once."""
-    den = math.lcm(*(w.denominator for p in data.points for w in p.weights))
-    nums = (tuple(w.numerator * (den // w.denominator) for w in p.weights) for p in data.points)
+    den = math.lcm(*(d for p in data.points for _, d in p.ratios))
+    nums = (tuple(n * (den // d) for n, d in p.ratios) for p in data.points)
     return den, (tuple(p.mults for p in data.points), tuple(nums))
 
 
@@ -289,7 +361,7 @@ def slope_coincidence_witness(data, degree):
     den, block = _integer_block(data)
     for combo, (e, exact) in _sub_thresholds(den, block, degree):
         if exact:
-            return _derived((c, p.weights) for (c, _), p in zip(combo, data.points)), e
+            return _derived((c, p.ratios) for (c, _), p in zip(combo, data.points)), e
     return None
 
 

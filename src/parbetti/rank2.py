@@ -54,7 +54,8 @@ def profile_from_instance(instance):
             continue
         if pt.mults != (1, 1):
             raise ValueError(f"unexpected rank-2 flag shape {pt.mults}")
-        deltas.append(pt.weights[0] - pt.weights[1])
+        low, high = pt.weights
+        deltas.append(low - high)
     return Rank2Profile(tuple(deltas), instance.degree, instance.genus)
 
 

@@ -17,18 +17,27 @@ are the rational reference of the library's integer stability check.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 from math import floor
 
 from parbetti.parabolic import (
-    FlagPoint,
     QPData,
     _bounded_compositions,
     _compositions,
     _derived,
+    _point,
     _tables_for_point,
     table_pairs,
 )
+
+
+@lru_cache(maxsize=None)
+def fractions_of(ratios):
+    """A point's weights as Fractions from its int ``ratios``, built once per
+    value: the library builds ``weights`` anew on each access, and a point's
+    own hash is a Python call where a tuple's is not."""
+    return tuple(Fraction(num, den) for num, den in ratios)
 
 
 @dataclass(frozen=True)
@@ -52,7 +61,7 @@ class Partition:
     def block(self, k):
         """Block k as data on the full weight rows (zeros retained)."""
         return _derived(
-            (tuple(row[k] for row in tbl), p.weights)
+            (tuple(row[k] for row in tbl), p.ratios)
             for p, tbl in zip(self.data.points, self.tables)
         )
 
@@ -83,7 +92,7 @@ def inv_count(part):
 def prefix_data(part, j):
     """Union of the first j blocks of a partition as data."""
     return _derived(
-        (tuple(sum(row[:j]) for row in tbl), p.weights)
+        (tuple(sum(row[:j]) for row in tbl), p.ratios)
         for p, tbl in zip(part.data.points, part.tables)
     )
 
@@ -97,7 +106,7 @@ def head(part, j):
 def tail(part, j):
     """Induced partition of the blocks after the first j."""
     data = _derived(
-        (tuple(sum(row[j:]) for row in tbl), p.weights)
+        (tuple(sum(row[j:]) for row in tbl), p.ratios)
         for p, tbl in zip(part.data.points, part.tables)
     )
     tables = tuple(tuple(row[j:] for row in tbl) for tbl in part.tables)
@@ -114,10 +123,10 @@ def reembed(data, ambient):
         raise ValueError("point counts differ")
     pts = []
     for p, q in zip(data.points, ambient.points):
-        lookup = dict(zip(p.weights, p.mults))
-        if len(lookup) != len(p.weights) or not set(p.weights) <= set(q.weights):
+        lookup = dict(zip(p.ratios, p.mults))
+        if len(lookup) != len(p.ratios) or not set(p.ratios) <= set(q.ratios):
             raise ValueError("weights do not embed into the ambient rows")
-        pts.append(FlagPoint(tuple(lookup.get(w, 0) for w in q.weights), q.weights))
+        pts.append(_point(tuple(lookup.get(w, 0) for w in q.ratios), q.ratios))
     return QPData(tuple(pts))
 
 
@@ -129,12 +138,12 @@ def complement(data, sub):
     """
     rows = []
     for p, q in zip(data.points, sub.points):
-        if p.weights != q.weights:
+        if p.ratios != q.ratios:
             raise ValueError("sub-data rows are not aligned with the data")
         mults = tuple(a - b for a, b in zip(p.mults, q.mults))
         if any(m < 0 for m in mults):
             raise ValueError("not a sub-datum")
-        rows.append((mults, p.weights))
+        rows.append((mults, p.ratios))
     return _derived(rows)
 
 
@@ -211,7 +220,7 @@ def floor_sum(part, lam):
     block's weight, read from the tables.
     """
     cols = part.cols
-    points = [(tbl, p.weights) for p, tbl in zip(part.data.points, part.tables)]
+    points = [(tbl, fractions_of(p.ratios)) for p, tbl in zip(part.data.points, part.tables)]
     total = 0
     nk = 0
     a = 0
@@ -239,7 +248,9 @@ def floor_sum_genus(part, lam, genus):
 
 def weight_sum(data):
     """Total weight: sum over points of multiplicity-weighted flag weights."""
-    return sum((m * w for p in data.points for m, w in zip(p.mults, p.weights)), Fraction(0))
+    return sum(
+        (m * w for p in data.points for m, w in zip(p.mults, fractions_of(p.ratios))), Fraction(0)
+    )
 
 
 def subdata(data):
@@ -253,7 +264,7 @@ def subdata(data):
     for r in range(1, data.rank):
         per_point = [_bounded_compositions(r, p.mults) for p in data.points]
         for combo in iproduct(*per_point):
-            out.append(_derived((m, p.weights) for m, p in zip(combo, data.points)))
+            out.append(_derived((m, p.ratios) for m, p in zip(combo, data.points)))
     return out
 
 

@@ -69,14 +69,28 @@ def _fraction_uses(tree, allowed, within=None):
 
 
 def test_coefficients_are_ints():
-    """One coefficient type: ratfunc never meets a Fraction, and laurent
-    names one only to accept an integral one."""
-    ratfunc = ast.parse((SRC / "ratfunc.py").read_text(encoding="utf-8"))
-    assert "fractions" not in _imported_modules(ratfunc)
-    assert _fraction_uses(ratfunc, set()) == []
+    """One coefficient type: neither ratfunc nor laurent names a Fraction or
+    imports fractions; laurent accepts an integral rational by its
+    numerator and denominator."""
+    for name in ("ratfunc.py", "laurent.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        assert "fractions" not in _imported_modules(tree), name
+        assert _fraction_uses(tree, set()) == [], name
 
-    laurent = ast.parse((SRC / "laurent.py").read_text(encoding="utf-8"))
-    assert _fraction_uses(laurent, {"_coerce"}) == []
+
+def test_only_rank2_imports_fractions_at_module_level():
+    """Weights are ints from the document on, so loading a module loads
+    ``fractions`` (and with it ``decimal`` and ``numbers``) only for the
+    rank-2 route, whose gaps are public Fractions.  Anywhere else it is
+    imported inside the function that builds a Fraction for a caller."""
+    found = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "fractions" in _imported_modules(node)
+    ]
+    assert found == ["rank2.py"]
 
 
 def test_closed_block_sum_is_integer():
@@ -257,7 +271,8 @@ loaded = [sorted(m for m in sys.modules if m.startswith("parbetti."))]
 from parbetti.cli import main
 with contextlib.redirect_stdout(open(os.devnull, "w")):
     codes = [main(argv) for argv in json.loads(sys.argv[1])]
-loaded.append(sorted(m for m in ("argparse", "parbetti.recursion", "parbetti.rank2")
+loaded.append(sorted(m for m in ("argparse", "decimal", "fractions", "numbers",
+                               "parbetti.recursion", "parbetti.rank2")
                      if m in sys.modules))
 print(json.dumps([codes, loaded]))
 """
@@ -265,19 +280,26 @@ print(json.dumps([codes, loaded]))
 
 def test_process_loads_only_what_its_command_runs(tmp_path):
     """``import parbetti`` loads no submodule; a process that runs a closed
-    route or a sweep never loads argparse, the recursion or the rank-2
-    route, and one that runs the recursion leaves the rank-2 route alone."""
-    doc = tmp_path / "inst.json"
-    doc.write_text(json.dumps({
-        "genus": 2,
-        "degree": 1,
-        "points": [{"weights": ["0", "1/3"], "multiplicities": [1, 1]}],
-    }))
+    route, a sweep or a check never loads argparse, the recursion or the
+    rank-2 route, and one that runs the recursion leaves the rank-2 route
+    alone.  Only the rank-2 route loads ``fractions``, ``decimal`` and
+    ``numbers``: on rank-3 data neither compare nor check does."""
+    rank2, rank3 = tmp_path / "rank2.json", tmp_path / "rank3.json"
+    for doc, weights in ((rank2, ["0", "1/3"]), (rank3, ["0", "1/5", "3/7"])):
+        doc.write_text(json.dumps({
+            "genus": 2,
+            "degree": 1,
+            "points": [{"weights": weights, "multiplicities": [1] * len(weights)}],
+        }))
+    doc = str(rank2)
     cases = [
-        ([["compute", str(doc), "--method", "closed"], ["sweep", str(doc)]],
+        ([["compute", doc, "--method", "closed"], ["compute", doc, "--method", "qclosed"],
+          ["sweep", doc], ["check", str(rank3)]],
          []),
-        ([["compute", str(doc), "--method", "recursion"]],
+        ([["compute", doc, "--method", "recursion"], ["compare", str(rank3)]],
          ["parbetti.recursion"]),
+        ([["compute", doc, "--method", "rank2"]],
+         ["decimal", "fractions", "numbers", "parbetti.rank2"]),
     ]
     for argvs, loaded in cases:
         out = _run_python(_LOADED_AFTER, json.dumps(argvs))
