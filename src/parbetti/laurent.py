@@ -17,9 +17,7 @@ Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", J. Symbolic Comput. 44 (2009), arXiv:0712.4046).
 """
 
-import math
 import sys
-from itertools import chain
 from operator import attrgetter
 
 MAX_TRUNCATION = 20000
@@ -88,10 +86,6 @@ def _coerce(c):
 _SPARSE_TERMS = 4  # up to this many terms, a term-by-term loop beats packing
 _WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # digit bytes -> memoryview format
 _ORDER = sys.byteorder  # memoryview words are in the machine's byte order
-# CPython multiplies ints of up to 70 30-bit digits by schoolbook
-# (KARATSUBA_CUTOFF in Objects/longobject.c): below that the multiply is not
-# what a packed product spends its time on
-_SCHOOLBOOK_BITS = 70 * 30
 
 
 def _product(a, b, top=None):
@@ -135,15 +129,6 @@ def _packed_product(a, b, top):
     borrows from the next: an operand packs as its digits c + h less the
     same run of h alone.  Up to 8 bytes, B is rounded up to a power of two,
     and the digits are read back as machine words through a memoryview.
-
-    When both packed operands are longer than ``_SCHOOLBOOK_BITS``, the
-    operand a of the larger ``_stride`` k, whose exponents past its lowest
-    are all multiples of k (a power of 1 + t^k, say), packs one digit per k
-    exponents.  The other packs each residue class of its exponents mod k
-    the same way, as one row of ``span`` digits, the rows one after
-    another: a row's product with a fits in its row, so one multiply, k
-    times shorter in a, gives every class's product.  With k = 1 there is
-    one row, the plain substitution.
     """
     lo_a, lo_b = min(a), min(b)
     if top is not None:
@@ -151,64 +136,30 @@ def _packed_product(a, b, top):
             return {}
         a = {e: c for e, c in a.items() if e <= top - lo_b}
         b = {e: c for e, c in b.items() if e <= top - lo_a}
-    hi_a, hi_b = max(a), max(b)
     bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
     size = bound.bit_length() // 8 + 1
     if size <= 8:
         size = 1 << (size - 1).bit_length()
-    k, rows = 1, [0]
-    if 8 * size * min(hi_a - lo_a, hi_b - lo_b) > _SCHOOLBOOK_BITS:
-        k_a, k_b = _stride(a, lo_a), _stride(b, lo_b)
-        if k_a < k_b:
-            a, lo_a, hi_a, k_a, b, lo_b, hi_b = b, lo_b, hi_b, k_b, a, lo_a, hi_a
-        if k_a > 1:
-            k = k_a
-            rows = sorted({(e - lo_b) % k for e in b})
-    span = (hi_a - lo_a) // k + (hi_b - lo_b) // k + 1
     h = 1 << (8 * size - 1)
-    pad = h.to_bytes(size, _ORDER)
-    n = (hi_a - lo_a) // k + 1
-    digits = [pad] * n
-    for e, c in a.items():
-        digits[(e - lo_a) // k] = (c + h).to_bytes(size, _ORDER)
-    packed_a = int.from_bytes(b"".join(digits), _ORDER) - int.from_bytes(pad * n, _ORDER)
-    n = len(rows) * span
-    digits = [pad] * n
-    if len(rows) == 1:
-        for e, c in b.items():
-            digits[(e - lo_b) // k] = (c + h).to_bytes(size, _ORDER)
-    else:
-        row_of = {r: q * span for q, r in enumerate(rows)}
-        for e, c in b.items():
-            i, r = divmod(e - lo_b, k)
-            digits[row_of[r] + i] = (c + h).to_bytes(size, _ORDER)
-    packed_b = int.from_bytes(b"".join(digits), _ORDER) - int.from_bytes(pad * n, _ORDER)
-    raw = (packed_a * packed_b + int.from_bytes(pad * n, _ORDER)).to_bytes(size * n, _ORDER)
-    lo = lo_a + lo_b
-    if len(rows) == 1:
-        exps = range(lo, lo + k * span if top is None else min(lo + k * span, top + 1), k)
-        n = len(exps)
-    else:
-        exps = chain.from_iterable(range(lo + r, lo + r + k * span, k) for r in rows)
     word = _WORDS.get(size)
+    pad = h.to_bytes(size, _ORDER)
+    packed = []
+    for d, lo in ((a, lo_a), (b, lo_b)):
+        n = max(d) - lo + 1
+        digits = [pad] * n
+        for e, c in d.items():
+            digits[e - lo] = (c + h).to_bytes(size, _ORDER)
+        packed.append(int.from_bytes(b"".join(digits), _ORDER) - int.from_bytes(pad * n, _ORDER))
+    n = max(a) + max(b) - lo_a - lo_b + 1
+    raw = (packed[0] * packed[1] + int.from_bytes(pad * n, _ORDER)).to_bytes(size * n, _ORDER)
+    if top is not None:
+        n = min(n, top - lo_a - lo_b + 1)
     if word:
         digits = memoryview(raw).cast(word)[:n].tolist()
     else:
         digits = [int.from_bytes(raw[i * size:(i + 1) * size], _ORDER) for i in range(n)]
-    if top is None or len(rows) == 1:
-        return {e: c - h for e, c in zip(exps, digits) if c != h}
-    return {e: c - h for e, c in zip(exps, digits) if c != h and e <= top}
-
-
-def _stride(d, lo):
-    """The gcd of the exponents of d past its lowest lo, 0 for one term; it
-    stops at the first exponent that brings it to 1."""
-    k = 0
-    for e in d:
-        k = math.gcd(k, e - lo)
-        if k == 1:
-            break
-    return k
+    lo = lo_a + lo_b
+    return {lo + i: c - h for i, c in enumerate(digits) if c != h}
 
 
 def _sum(a, b, top=None):

@@ -60,16 +60,12 @@ def _reduced(num, den):
 def _ratio(w):
     """A weight given as a string, an int or a rational with int numerator
     and denominator (a ``Fraction``), as ``(numerator, denominator)``.  A
-    string outside the grammar of ``_parse_ratio`` (a decimal, say) is read
-    by ``Fraction``, so the library takes every string that ``Fraction``
-    does."""
+    string is read by ``Fraction``, so the library takes every string that
+    ``Fraction`` does; documents are read by ``_parse_ratio``."""
     if isinstance(w, str):
-        try:
-            return _parse_ratio(w)
-        except ValueError:
-            from fractions import Fraction
+        from fractions import Fraction
 
-            w = Fraction(w)
+        w = Fraction(w)
     num, den = getattr(w, "numerator", None), getattr(w, "denominator", None)
     if type(num) is not int or type(den) is not int or den <= 0:
         raise TypeError(f"weight must be exact, got {type(w).__name__}")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -311,6 +312,23 @@ def test_product_kernel_matches_naive_loop(monkeypatch):
     assert sorted(set(packed))[0] == limit + 1
 
 
+def test_packed_digits_hold_the_bound_at_every_width():
+    """Every coefficient c of n equal terms, times the same, reaches the
+    packing bound n c^2 in the middle of the product; with either sign, and
+    with c stepped so that the bound's bit length crosses each byte edge
+    from one byte to past 8 (where a digit takes the bytes it needs, not a
+    power of two), the packed product equals the double loop."""
+    n = laurent._SPARSE_TERMS + 3
+    for bits in range(4, 150):
+        for c in {(1 << bits) - 1, 1 << bits, (1 << bits) + 1}:
+            c = math.isqrt(c // n) or 1
+            for sign in (1, -1):
+                a = dict.fromkeys(range(n), c)
+                b = dict.fromkeys(range(-2, n - 2), sign * c)
+                assert _product(a, b) == _naive_product(a, b)
+                assert _product(a, b, 1) == _naive_product(a, b, 1)
+
+
 def test_mul_poly_by_two_sparse_terms(monkeypatch):
     """``mul_poly`` by t^0 + t^N, N from 1 to far past the series' length,
     takes the term loop and equals the naive double loop."""
@@ -335,85 +353,3 @@ def test_product_past_max_truncation_rejected():
     s = LaurentSeries({6000: 1}, 15000)
     with pytest.raises(TruncationLimit):
         s * s  # exact through 15000 + 6000 = 21000 > MAX_TRUNCATION
-
-
-def _strided_operand(rng, k, terms):
-    """A dict whose exponents past its lowest are multiples of k, from a
-    random start; coefficients as in ``_kernel_operands``."""
-    lo = rng.randint(-15, 15)
-    size = rng.choice((3, 2**20, 2**63, 2**70, 2**130))
-    return {
-        lo + k * i: rng.choice((-1, 1)) * rng.randint(1, size)
-        for i in rng.sample(range(terms + rng.randint(0, terms)), terms)
-    }
-
-
-def _stride_of(d):
-    return laurent._stride(d, min(d))
-
-
-def test_strided_operands_pack_by_residue_class(monkeypatch):
-    """An operand whose exponents are a multiple of k >= 2 past its lowest
-    packs in t^k, and the other operand's residue classes mod k in rows:
-    with the size gate off, the product equals the naive double loop and
-    the product packed over the full span, for either operand strided, both
-    strided with the same or other k, and ``top`` below, inside and above
-    the product's exponent range."""
-    import random
-
-    rng = random.Random(24)
-    monkeypatch.setattr(laurent, "_SCHOOLBOOK_BITS", 0)  # strides at every size
-    stride = laurent._stride
-    rows = set()
-    for _ in range(150):
-        k = rng.randint(2, 7)
-        a = _strided_operand(rng, k, rng.randint(laurent._SPARSE_TERMS + 1, 30))
-        if rng.random() < 0.3:
-            b = _strided_operand(rng, rng.choice((2, 3, 5, k)), rng.randint(1, 40))
-        else:
-            b = _kernel_operands(rng, rng.randint(1, 40))
-        if rng.random() < 0.5:
-            a, b = b, a
-        k_a, k_b = _stride_of(a), _stride_of(b)
-        k, other = (k_a, b) if k_a >= k_b else (k_b, a)
-        rows.add(len({(e - min(other)) % k for e in other}))
-        lo, hi = min(a) + min(b), max(a) + max(b)
-        for top in (None, lo - 1, lo, rng.randint(lo, hi), hi, hi + 5):
-            got = _product(a, b, top)
-            assert got == _naive_product(a, b, top)
-            assert all(type(c) is int and c for c in got.values())
-            monkeypatch.setattr(laurent, "_stride", lambda d, lo: 1)
-            assert _product(a, b, top) == got
-            monkeypatch.setattr(laurent, "_stride", stride)
-    assert {1, 2, 3} <= rows and max(rows) >= 5
-
-
-def test_binomial_power_products_take_the_stride(monkeypatch):
-    """Past the schoolbook size, a power of 1 + t^k times a dense operand
-    with wide coefficients packs by stride k, and equals the product packed
-    over the full span; below it, no stride is looked for."""
-    import random
-
-    rng = random.Random(3)
-    seen = []
-    stride = laurent._stride
-
-    def recorded(d, lo):
-        seen.append(stride(d, lo))
-        return seen[-1]
-
-    monkeypatch.setattr(laurent, "_stride", recorded)
-    dense = {e: rng.randint(-2**200, 2**200) for e in range(600)}
-    for k in (2, 3, 7):
-        power = (P({0: 1, k: 1}) ** 150).coeffs
-        seen.clear()
-        got = _product(power, dense, 500)
-        assert k in seen
-        monkeypatch.setattr(laurent, "_stride", lambda d, lo: 1)
-        assert got == _product(power, dense, 500)
-        monkeypatch.setattr(laurent, "_stride", recorded)
-    seen.clear()
-    small = (P({0: 1, 2: 1}) ** 6).coeffs
-    ones = dict.fromkeys(range(20), 1)
-    assert _product(small, ones) == _naive_product(small, ones)
-    assert seen == []
