@@ -163,13 +163,10 @@ def _derived(rows):
 
     Skips the constructors' checks: mults must be a tuple of non-negative
     ints with one equal, positive sum per point, and ratios an equally
-    long subsequence of a validated point's ``ratios``.  Rows of
-    ``Fraction`` weights are read by their numerators and denominators.
+    long subsequence of a validated point's ``ratios``.
     """
     pts = []
     for mults, ratios in rows:
-        if type(ratios[0]) is not tuple:
-            ratios = tuple((w.numerator, w.denominator) for w in ratios)
         p = object.__new__(FlagPoint)
         object.__setattr__(p, "mults", mults)
         object.__setattr__(p, "ratios", ratios)

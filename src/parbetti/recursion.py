@@ -4,11 +4,11 @@
 Laurent series with certified truncation bookkeeping, never citing the
 closed solution of ``engine``.  It runs on integer blocks: per point, the
 multiplicities and the weight numerators over the data's one denominator.
-Each stratum's Harder-Narasimhan degree tuples are found by an integer
-search, and the tuples of all strata are grouped by the multiset of their
+One walk over a block's strata finds their Harder-Narasimhan degree
+tuples by an integer search and groups them by the multiset of their
 blocks' memo keys, each multiset with an exact polynomial of its shifts.
 The sorted multisets form a trie, and Horner's rule over it makes one
-series product per inner node.
+series product per inner node, each certified exact through its depth.
 
 A block's memo key is its stability chamber: its multiplicities, its
 degree mod its rank, and per proper sub-datum the floor of the degree at
@@ -204,16 +204,18 @@ class _Recursor:
         A degree tuple of a stratum (sigma inversions) adds the product of
         its block series times t^(2(pairing - sigma)), and the product
         depends only on the multiset of the blocks' memo keys at their
-        residues d_k mod n_k.  A first walk over the strata numbers the
-        blocks and finds how deep each block's series must reach for its
-        deepest stratum.  The blocks are then fetched once each, lower ranks
-        first, so that the computes of the higher ones find the lower ones
-        deep enough.  A second walk bounds each stratum's pairing so that
-        the skipped tuples land past trunc, and adds each tuple's shift into
-        its multiset's node of a trie of sorted key numbers; ``_horner``
-        then makes the products.  Blocks are numbered by their table
-        columns (all rank-1 blocks by one number), keys in the order they
-        are met.
+        residues d_k mod n_k.  One walk over the strata numbers the blocks,
+        bounds each stratum's pairing and adds each tuple's shift into its
+        multiset's node of a trie of sorted key numbers.  The blocks' family
+        orders (the lowest exponents of their full-family counts) give both
+        the pairing bound and each block's probe: Harder-Narasimhan strata
+        have positive codimension (Atiyah-Bott, Phil. Trans. R. Soc. A 308,
+        1983), so no stable count starts before its family count, and the
+        tuples past the bound land past trunc.  The blocks are then fetched
+        once each, lower ranks first, so that the computes of the higher
+        ones find the lower ones deep enough; ``_horner`` makes the
+        products.  Blocks are numbered by their table columns (all rank-1
+        blocks by one number), keys in the order they are met.
         """
         g = self.genus
         mults, nums = block
@@ -222,12 +224,11 @@ class _Recursor:
             total = self.families[mults, trunc] = _block_q(mults, g).expand(trunc)
         den = self.den
         ids = {}  # a block's table columns -> its number
-        blocks = []  # number -> (its key numbers by residue, -count shift)
+        blocks = []  # number -> (its key numbers by residue, family order)
         numbers = {}  # memo key -> key number
         keys = []  # key number -> (memo key, block, residue)
-        series = {}  # key number -> deepest series fetched
-        walk = []  # (cols, block numbers, weight sums, sigma, floors) per stratum
         need = {}  # block number -> greatest probe of its strata
+        trie = {}  # key number -> (shifts of the multiset ending here, subtrie)
         for cols, strata in _strata(mults, nums, 2, self.shapes):
             for tables in itertools.product(*strata):
                 sums = [sum(col) for col in zip(*(t[3] for t in tables))]
@@ -256,48 +257,39 @@ class _Recursor:
                         blocks.append((by_rho, -_count_shift(b[0], g)))
                     ks.append(i)
                 floors = _pairing_floors(cols, den, sums)
+                order = sum(blocks[i][1] for i in ks)
                 # a block's probe: trunc less the smallest shift and the
-                # other blocks' leading orders
-                spare = trunc - 2 * (floors[0] - sigma) - sum(blocks[i][1] for i in ks)
+                # other blocks' orders
+                spare = trunc - 2 * (floors[0] - sigma) - order
                 for i in ks:
                     need[i] = max(need.get(i, spare), spare)
-                walk.append((cols, ks, sums, sigma, floors))
+                # past the bound, shift plus order exceeds trunc
+                bound = (trunc - order) // 2 + sigma
+                leaves = {}  # residues -> shifts of their multiset in the trie
+                for dvec, pairing in hn_degree_tuples(cols, den, sums, d, bound, floors):
+                    rhos = tuple(map(operator.mod, dvec, cols))
+                    shifts = leaves.get(rhos)
+                    if shifts is None:
+                        node = trie
+                        for p in sorted(blocks[i][0][rho] for i, rho in zip(ks, rhos)):
+                            branch = node.get(p)
+                            if branch is None:
+                                branch = node[p] = ({}, {})
+                            node = branch[1]
+                        shifts = leaves[rhos] = branch[0]
+                    shift = 2 * (pairing - sigma)
+                    shifts[shift] = shifts.get(shift, 0) + 1
         # each block's series once, through its greatest probe plus its own
-        # order; lower ranks first, so that the computes of the higher ones
-        # find theirs deep enough
-        certs = {}  # block number -> least order bound of its series
+        # order; lower ranks first
+        series = {}  # key number -> its series
         for i in sorted(need, key=lambda i: len(blocks[i][0])):
             by_rho, order = blocks[i]
-            got = [self._series(*keys[p], need[i] + order) for p in by_rho]
-            series.update(zip(by_rho, got))
-            certs[i] = min(s.order_bound() for s in got)
-        trie = {}  # key number -> (shifts of the multiset ending here, subtrie)
-        for cols, ks, sums, sigma, floors in walk:
-            cert = sum(certs[i] for i in ks)
-            bound = (trunc - cert) // 2 + sigma
-            # anything past the bound sits beyond trunc after the shift
-            if 2 * (bound + 1 - sigma) + cert <= trunc:
-                raise TruncationTooSmall(
-                    f"degree-tuple bound {bound} leaves terms below t^{trunc}"
-                )
-            leaves = {}  # residues -> shifts of their multiset in the trie
-            for dvec, pairing in hn_degree_tuples(cols, den, sums, d, bound, floors):
-                rhos = tuple(map(operator.mod, dvec, cols))
-                shifts = leaves.get(rhos)
-                if shifts is None:
-                    node = trie
-                    for p in sorted(blocks[i][0][rho] for i, rho in zip(ks, rhos)):
-                        branch = node.get(p)
-                        if branch is None:
-                            branch = node[p] = ({}, {})
-                        node = branch[1]
-                    shifts = leaves[rhos] = branch[0]
-                shift = 2 * (pairing - sigma)
-                shifts[shift] = shifts.get(shift, 0) + 1
-        total = total - self._horner(trie, trunc, keys, series)
+            for p in by_rho:
+                series[p] = self._series(*keys[p], need[i] + order)
+        total = total - self._horner(trie, trunc, series)
         return total.exact_through(trunc).truncate(trunc)
 
-    def _horner(self, trie, need, keys, series):
+    def _horner(self, trie, need, series):
         """The sum over the trie's multisets of the product of ``series[p]``
         over their key numbers p times their shifts, exact through need.
 
@@ -305,28 +297,24 @@ class _Recursor:
         series[p] (shifts + V(subtrie)), one product per branch (``mul_poly``
         at a leaf).  A branch solves its subtrie through need less its
         factor's order first; the subtrie's lowest exponent then sets the
-        factor's depth, or leaves no room.  A short product means the factor
-        started later than its family count predicts: it is deepened by the
-        deficit through ``keys[p]``, its (memo key, block, residue), and the
-        product retried, after the subtrie has deepened the factors under it.
+        factor's depth, or leaves no room.  Each product is certified exact
+        through need, so a factor fetched short of the depth its family
+        order predicts raises ``TruncationTooSmall``.
         """
         total = LaurentSeries.zero(need)
         for p, (shifts, sub) in trie.items():
             s = series[p]
             if sub:
                 inner = need - s.order_bound()
-                x = LaurentSeries(shifts, inner) + self._horner(sub, inner, keys, series)
+                x = LaurentSeries(shifts, inner) + self._horner(sub, inner, series)
                 low = x.order_bound()
             else:
                 x = LaurentPoly(shifts)
                 low = min(shifts)
-            while need - low - s.order_bound() >= 0:
+            if need - low - s.order_bound() >= 0:
                 f = s.truncate(need - low)
                 term = f * x if sub else f.mul_poly(x)
-                if term.trunc >= need:
-                    total = total + term
-                    break
-                s = series[p] = self._series(*keys[p], s.trunc + need - term.trunc)
+                total = total + term.exact_through(need)
         return total
 
 

@@ -605,6 +605,30 @@ def test_chamber_keys_change_no_series():
     assert merged > 100
 
 
+def test_no_stable_count_starts_before_its_family_count():
+    """The premise of the recursion's depth rule: a Harder-Narasimhan
+    stratum has positive codimension, so every stable count the recursion
+    solves starts no earlier than its full-family count, t^(-count shift).
+    Random data of ranks 2-4 on 1-3 points with full and partial flags,
+    genus 0-3, every residue, and drawn strictly semistable data."""
+    rng = random.Random(29)
+    drawn = [_random_data(rng, n, points) for n, points in product(range(2, 5), range(1, 4))]
+    cases = [(data, rho) for data in drawn for rho in range(data.rank)]
+    cases += _strictly_semistable(rng, 6)
+    entries = later = 0
+    for data, rho in cases:
+        den, block = _integer_block(data)
+        genus = rng.randint(0, 3)
+        rec = recursion._Recursor(genus, den)
+        rec.q_series(block, rho, 14)
+        for key, series in rec.memo.items():
+            order = -engine._count_shift(key[0], genus)
+            assert series.order_bound() >= order, (data, rho, genus, key)
+            later += series.order_bound() > order
+        entries += len(rec.memo)
+    assert entries > 300 and later > 0
+
+
 def test_siegel_check_sees_each_block_of_a_chamber(monkeypatch):
     """The rank-2 blocks with weights (0, 1/3) and (1/3, 2/3) of one full
     flag share their chamber at both residues, yet ``siegel_check`` feeds
@@ -653,34 +677,28 @@ def test_tables_walked_once_per_shape(monkeypatch):
         assert len(walked) == 4 and len(met) == 12
 
 
-def test_horner_deepens_every_factor(monkeypatch):
-    """A product shorter than its branch needs deepens that branch's factor,
-    in place, after the subtrie below it has deepened its own; the pass
-    then equals the product of the deep series."""
+def test_short_factor_fails_its_certificate(monkeypatch):
+    """A factor fetched short of the depth its product must reach fails the
+    product's certificate: ``_horner`` raises ``TruncationTooSmall`` and
+    fetches nothing."""
     den, r2 = _integer_block(R2)
     line = (((1,),), ((0,),))
     rec = recursion._Recursor(1, den)
-    keys = [(rec._key(line, 0), line, 0), (rec._key(r2, 1), r2, 1)]
     deep = {0: rec.q_series(line, 0, 30), 1: rec.q_series(r2, 1, 30)}
     series = {p: s.truncate(s.order_bound() + 1) for p, s in deep.items()}
     fetched = []
     fetch = recursion._Recursor._series
 
-    def counted(self, key, block, d, trunc):
-        fetched.append((block, d))
-        assert len(fetched) <= 8, "deepening does not converge"
-        return fetch(self, key, block, d, trunc)
+    def counted(self, *args):
+        fetched.append(args)
+        return fetch(self, *args)
 
     monkeypatch.setattr(recursion._Recursor, "_series", counted)
-    shifts = {0: 1, 4: 2}
     # the one multiset {0, 0, 1} of key numbers as a trie
-    trie = {0: ({}, {0: ({}, {1: (shifts, {})})})}
-    got = rec._horner(trie, 12, keys, series)
-    want = (deep[0] * deep[0] * deep[1]).mul_poly(LaurentPoly(shifts))
-    assert got.trunc == 12 and want.trunc >= 12
-    assert got == want.truncate(12)
-    assert {(line, 0), (r2, 1)} == set(fetched)
-    assert series == deep
+    trie = {0: ({}, {0: ({}, {1: ({0: 1, 4: 2}, {})})})}
+    with pytest.raises(TruncationTooSmall):
+        rec._horner(trie, 12, series)
+    assert fetched == []
 
 
 def test_degree_tuple_enumeration_vs_brute_random():

@@ -29,7 +29,7 @@ def _examples():
         ),
         (
             DATA,
-            _derived([((1, 1), (F(0), F(1, 3)))]),
+            _derived([((1, 1), ((0, 1), (1, 3)))]),
             make_data([((2,), ("0",))]),
             "QPData(points=(FlagPoint(mults=(1, 1), weights=(Fraction(0, 1), "
             "Fraction(1, 3))),))",

@@ -163,6 +163,22 @@ def test_sub_data_walked_in_one_place():
     assert naming == ["parabolic.py"]
 
 
+
+def test_recursion_fetches_in_one_place():
+    """The recursion decides how deep each block series must reach only in
+    ``_Recursor._compute``: ``_horner`` multiplies and certifies what it is
+    given and names neither ``_series`` nor ``q_series``."""
+    tree = ast.parse((SRC / "recursion.py").read_text(encoding="utf-8"))
+    horner = [
+        node
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "_Recursor"
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_horner"
+    ]
+    assert len(horner) == 1
+    assert set(_references(horner[0])) & {"_series", "q_series"} == set()
+
 def _is_empty_container(node):
     """An empty ``{}`` or ``[]`` literal, or a bare ``dict()``, ``list()`` or
     ``set()`` call."""
