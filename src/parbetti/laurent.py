@@ -360,11 +360,6 @@ class LaurentSeries(Record):
             return self
         return _series({e: c for e, c in self.coeffs.items() if e <= n}, n)
 
-    def shift(self, k):
-        if k == 0:
-            return self
-        return _series({e + k: c for e, c in self.coeffs.items()}, self.trunc + k)
-
     def __neg__(self):
         return _series({e: -c for e, c in self.coeffs.items()}, self.trunc)
 

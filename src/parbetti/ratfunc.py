@@ -5,9 +5,10 @@ cyclotomic-style factors (1 - t^k), so the factor dict maps k >= 1 to an
 integer exponent e_k (negative exponents are denominator factors), and the
 numerator p has integer coefficients.  Keeping the factorization explicit
 makes exact series expansion and exact polynomial certification cheap.
-The recursion multiplies by the expansion of one such function, its
-bridge prefactor, so no series is ever inverted; the closed routes certify
-their block sum times 1 - t^2, the bridge with the genus cancelled.
+The recursion expands its count series as the numerator of one such
+function, its bridge prefactor, so no series is ever inverted; the closed
+routes certify their block sum times 1 - t^2, the bridge with the genus
+cancelled.
 
 Every factor is 1 - t^k, so expansion, certification and sums run linear
 passes over one dense list of int coefficients, t^i at index i: multiplying
@@ -158,7 +159,12 @@ class FactoredRatFunc(Record):
         return (self - other).is_zero()
 
     def expand(self, trunc):
-        """LaurentSeries of this function, exact through trunc."""
+        """LaurentSeries of this function, exact through trunc.
+
+        Every factor 1 - t^k has k >= 1, so each pass reads only lower
+        exponents, and the result reads the numerator only through
+        t^(trunc - shift): a numerator known exactly that deep suffices.
+        """
         work = trunc - self.shift
         if self.numer.is_zero() or work < 0:
             # zero function, or every exponent of the result is >= shift > trunc

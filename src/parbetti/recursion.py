@@ -20,10 +20,11 @@ all rank-1 blocks share one.  Each compute fetches each of its blocks once,
 as deep as its deepest stratum needs and lower ranks first, so most
 chambers are solved once.
 
-The route ends with the bridge prefactor (1 - t)^(2g) (1 - t^2)^(1 - 2g)
-(``_bridge``), which turns a count function into the Betti polynomial after
-a shift of its own; it is multiplied in as its series expansion, so no
-series is inverted.
+The route ends with the bridge prefactor (1 - t)^(2g) (1 - t^2)^(1 - 2g),
+which turns a count function into the Betti polynomial after a shift of its
+own: the count series is the numerator of a ``FactoredRatFunc`` with those
+factors, whose dense passes multiply it by 1 - t and divide it by 1 - t^2
+in place, so no series is inverted and no series product is made.
 
 ``siegel_check`` verifies the underlying mass identity order by order: it
 runs the recursion's own step on the closed route's stable counts.
@@ -51,12 +52,6 @@ from .result import NonPolynomialResult, result_from_poly
 def _block_q(mults, genus):
     """Count generating function of the full family over one block."""
     return FactoredRatFunc.monomial(-_count_shift(mults, genus)) * block_factor(mults, genus)
-
-
-def _bridge(genus):
-    """Shift-free prefactor (1 - t)^(2g) (1 - t^2)^(1 - 2g) that turns a
-    count function into the Betti polynomial."""
-    return FactoredRatFunc(0, LaurentPoly.one(), {1: 2 * genus, 2: 1 - 2 * genus})
 
 
 def _pairing_floors(cols, den, nums):
@@ -337,7 +332,7 @@ def recursion_poincare(instance, truncation=None, force=False):
     den, block = _integer_block(data)
     c = _count_shift(block[0], g)
     q = _Recursor(g, den).q_series(block, d, n_master - c)
-    p = q.shift(c) * _bridge(g).expand(n_master)
+    p = FactoredRatFunc(c, LaurentPoly(q.coeffs), {1: 2 * g, 2: 1 - 2 * g}).expand(n_master)
     bad = sorted(e for e in p.coeffs if e < 0)
     if bad:
         raise NonPolynomialResult(

@@ -104,7 +104,7 @@ def _generic_expand(f, trunc):
             series = series.mul_poly(one_minus(k) ** e).truncate(work)
         else:
             series = series * geometric_power(k, -e, work)
-    return series.exact_through(work).truncate(work).shift(f.shift)
+    return series.exact_through(work).truncate(work).mul_poly(LaurentPoly({f.shift: 1}))
 
 
 def _generic_add(f, g):
@@ -164,6 +164,18 @@ def test_expand_matches_generic_series():
         f = _random_func(rng) if i % 10 else FRF.zero()
         for trunc in (f.shift - 1, f.shift, f.shift + 3, f.shift + 25):
             assert f.expand(trunc) == _generic_expand(f, trunc), (f, trunc)
+
+
+def test_expand_reads_the_numerator_only_through_its_work():
+    """Every factor is 1 - t^k with k >= 1, so ``expand(T)`` reads the
+    numerator only through t^(T - shift): a numerator cut there, like a
+    series known only that deep, expands the same as the full one."""
+    rng = random.Random(18)
+    for _ in range(300):
+        f = _random_func(rng)
+        for trunc in range(f.shift - 1, f.shift + 12):
+            cut = LaurentPoly({e: c for e, c in f.numer.coeffs.items() if e <= trunc - f.shift})
+            assert FRF(f.shift, cut, f.factors).expand(trunc) == f.expand(trunc), (f, trunc)
 
 
 def test_expand_is_the_negative_binomial_series():
